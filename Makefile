@@ -52,7 +52,8 @@ bench-ingest:
 # Multi-tenant scale smoke: 10k synthetic materials across 4 workspaces
 # through the real ingest pipeline, gated on aggregate mat/s. The nightly
 # CI tier raises SCALE_N; bench-scale-record runs 10k/100k/1M and writes
-# BENCH_6.json.
+# BENCH_6.json locally (not committed). The tracked benchmark is
+# bash bench/run.sh, declared in BENCHMARK.json.
 bench-scale:
 	./scripts/bench_scale.sh
 

@@ -14,7 +14,6 @@ import (
 	"carcs/internal/journal"
 	"carcs/internal/learn"
 	"carcs/internal/material"
-	"carcs/internal/relstore"
 	"carcs/internal/resilience"
 	"carcs/internal/workflow"
 )
@@ -103,11 +102,10 @@ type DurableOptions struct {
 	CommitWindow time.Duration
 }
 
-// Persister ties a System to a journal directory: it owns the write-ahead
-// log the system's mutation hooks append to, takes checkpoints (on demand,
-// on a timer, and on Close), and reports durability health.
+// Persister ties a workspace set to a journal directory: it owns the
+// write-ahead log every tenant's mutation hooks append to, takes checkpoints
+// (on demand, on a timer, and on Close), and reports durability health.
 type Persister struct {
-	sys     *System
 	ws      *Workspaces
 	st      *journal.Store
 	breaker *resilience.Breaker
@@ -140,106 +138,56 @@ type Persister struct {
 // are installed on both the system and its workflow queue, so every
 // accepted write reaches the log, fsync'd, before it commits.
 func OpenDurable(dir string, opts DurableOptions) (*System, *Persister, error) {
-	var jopts *journal.Options
-	if opts.WrapWAL != nil {
-		jopts = &journal.Options{WrapWAL: opts.WrapWAL}
-	}
-	st, err := journal.Open(dir, jopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	payload, haveCheckpoint, err := st.Checkpoint()
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	var ws *Workspaces
-	if haveCheckpoint {
-		ws, err = restoreWorkspaces(payload)
-	} else {
-		var sys *System
-		if opts.Seed {
-			sys, err = NewSeeded()
+	p, err := openPersister(dir, opts, func(st *journal.Store) (*Workspaces, bool, error) {
+		payload, haveCheckpoint, err := st.Checkpoint()
+		if err != nil {
+			return nil, false, err
+		}
+		var ws *Workspaces
+		if haveCheckpoint {
+			ws, err = RestoreWorkspaces(payload)
 		} else {
-			sys, err = New()
-		}
-		if sys != nil {
-			ws = NewWorkspaces(sys)
-		}
-	}
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	sys := ws.Default()
-	// Replay in chunks: each chunk applies under one mutation-lock hold per
-	// tenant run and publishes one view per run, so recovering a long log
-	// costs O(records) applies but only O(records / replayChunk) view
-	// publishes on the common single-tenant stretches. Records route to
-	// their stamped workspace; an unknown workspace is materialized on
-	// first sight (its tenant.create op travels the same stream).
-	chunk := make([]journal.Record, 0, replayChunk)
-	if _, err := st.Replay(func(rec journal.Record) error {
-		chunk = append(chunk, rec)
-		if len(chunk) >= replayChunk {
-			err := ApplyRecordsWorkspaces(ws, chunk)
-			chunk = chunk[:0]
-			return err
-		}
-		return nil
-	}); err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	if err := ApplyRecordsWorkspaces(ws, chunk); err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	// The fence starts at the directory's recorded epoch: a node restarting
-	// after its deposition cannot apply (or write) records from the term it
-	// lost.
-	ws.FenceEpoch(st.Epoch())
-	p := &Persister{sys: sys, ws: ws, st: st, breaker: resilience.NewBreaker(opts.Breaker)}
-	p.group = journal.NewGroup(st, journal.GroupConfig{
-		MaxBatch: opts.CommitBatch,
-		MaxWait:  opts.CommitWindow,
-		OnCommit: func(recs []journal.Record) {
-			if sink := p.sink.Load(); sink != nil {
-				for _, rec := range recs {
-					(*sink)(rec)
-				}
+			var sys *System
+			if opts.Seed {
+				sys, err = NewSeeded()
+			} else {
+				sys, err = New()
 			}
-		},
-	})
-	if !haveCheckpoint {
-		// Pin the initial (possibly seeded) state so later opens never
-		// depend on the Seed flag being passed consistently.
-		if err := p.Checkpoint(); err != nil {
-			p.group.Close()
-			st.Close()
-			return nil, nil, err
+			if sys != nil {
+				ws = NewWorkspaces(sys)
+			}
 		}
-	}
-	// Every recovered workspace journals through the same group appender;
-	// each hook stamps its tenant. Workspaces created later — through the
-	// API or by a replicated stream — are wired by the create hooks.
-	ws.Each(func(name string, tsys *System) { p.installHooks(name, tsys) })
-	ws.SetCreateHooks(
-		func(name string, tsys *System) error {
-			if err := p.appendJournal([]journal.BatchOp{{
-				Tenant: name, Op: OpTenantCreate, Data: tenantCreatePayload{Name: name},
-			}}); err != nil {
+		if err != nil {
+			return nil, false, err
+		}
+		// Replay in chunks: each chunk applies under one mutation-lock hold
+		// per tenant run and publishes one view per run, so recovering a
+		// long log costs O(records) applies but only O(records /
+		// replayChunk) view publishes on the common single-tenant
+		// stretches. Records route to their stamped workspace; an unknown
+		// workspace is materialized on first sight (its tenant.create op
+		// travels the same stream).
+		chunk := make([]journal.Record, 0, replayChunk)
+		if _, err := st.Replay(func(rec journal.Record) error {
+			chunk = append(chunk, rec)
+			if len(chunk) >= replayChunk {
+				err := ApplyRecordsWorkspaces(ws, chunk)
+				chunk = chunk[:0]
 				return err
 			}
-			p.installHooks(name, tsys)
 			return nil
-		},
-		func(name string, tsys *System) error {
-			p.installHooks(name, tsys)
-			return nil
-		},
-	)
-	return sys, p, nil
+		}); err != nil {
+			return nil, false, err
+		}
+		// A fresh directory pins its initial (possibly seeded) state so
+		// later opens never depend on the Seed flag being passed
+		// consistently.
+		return ws, !haveCheckpoint, ApplyRecordsWorkspaces(ws, chunk)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.ws.Default(), p, nil
 }
 
 // Workspaces returns the tenant set recovered from (and persisted to) this
@@ -263,6 +211,39 @@ func (p *Persister) Workspaces() *Workspaces { return p.ws }
 // and silently merging it into an unrelated journal would splice two
 // histories.
 func AdoptDurable(dir string, ws *Workspaces, seq, epoch uint64, opts DurableOptions) (*Persister, error) {
+	return openPersister(dir, opts, func(st *journal.Store) (*Workspaces, bool, error) {
+		if _, have, err := st.Checkpoint(); err != nil {
+			return nil, false, err
+		} else if have {
+			return nil, false, fmt.Errorf("core: adopt needs a fresh journal directory, %s holds a checkpoint", dir)
+		}
+		if _, err := st.Replay(nil); err != nil {
+			return nil, false, err
+		}
+		if got := st.Stats().Seq; got != 0 {
+			return nil, false, fmt.Errorf("core: adopt needs a fresh journal directory, %s holds records through seq %d", dir, got)
+		}
+		if err := st.AdvanceTo(seq); err != nil {
+			return nil, false, err
+		}
+		st.SetEpoch(epoch)
+		// Pin the adopted state before answering any write: a crash after
+		// promotion must recover to at least the promotion point, and
+		// followers of the new leader bootstrap from this checkpoint.
+		return ws, true, nil
+	})
+}
+
+// openPersister opens dir's journal, lets load build the workspace set from
+// it, and makes that set durable. The epoch fence starts at the directory's
+// recorded term, so a node restarting after its deposition cannot apply (or
+// write) records from the term it lost. The group-commit appender feeds the
+// replication sink; when pin is set, a checkpoint pins the state before any
+// write is accepted. Every workspace then journals through the same group
+// appender, each hook stamping its tenant, and workspaces created later —
+// through the API or by a replicated stream — are wired by the create
+// hooks. On any failure the journal is closed again.
+func openPersister(dir string, opts DurableOptions, load func(*journal.Store) (ws *Workspaces, pin bool, err error)) (*Persister, error) {
 	var jopts *journal.Options
 	if opts.WrapWAL != nil {
 		jopts = &journal.Options{WrapWAL: opts.WrapWAL}
@@ -271,28 +252,13 @@ func AdoptDurable(dir string, ws *Workspaces, seq, epoch uint64, opts DurableOpt
 	if err != nil {
 		return nil, err
 	}
-	if _, have, err := st.Checkpoint(); err != nil {
-		st.Close()
-		return nil, err
-	} else if have {
-		st.Close()
-		return nil, fmt.Errorf("core: adopt needs a fresh journal directory, %s holds a checkpoint", dir)
-	}
-	if _, err := st.Replay(nil); err != nil {
+	ws, pin, err := load(st)
+	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	if got := st.Stats().Seq; got != 0 {
-		st.Close()
-		return nil, fmt.Errorf("core: adopt needs a fresh journal directory, %s holds records through seq %d", dir, got)
-	}
-	if err := st.AdvanceTo(seq); err != nil {
-		st.Close()
-		return nil, err
-	}
-	st.SetEpoch(epoch)
-	ws.FenceEpoch(epoch)
-	p := &Persister{sys: ws.Default(), ws: ws, st: st, breaker: resilience.NewBreaker(opts.Breaker)}
+	ws.FenceEpoch(st.Epoch())
+	p := &Persister{ws: ws, st: st, breaker: resilience.NewBreaker(opts.Breaker)}
 	p.group = journal.NewGroup(st, journal.GroupConfig{
 		MaxBatch: opts.CommitBatch,
 		MaxWait:  opts.CommitWindow,
@@ -304,13 +270,12 @@ func AdoptDurable(dir string, ws *Workspaces, seq, epoch uint64, opts DurableOpt
 			}
 		},
 	})
-	// Pin the adopted state before answering any write: a crash after
-	// promotion must recover to at least the promotion point, and followers
-	// of the new leader bootstrap from this checkpoint.
-	if err := p.Checkpoint(); err != nil {
-		p.group.Close()
-		st.Close()
-		return nil, err
+	if pin {
+		if err := p.Checkpoint(); err != nil {
+			p.group.Close()
+			st.Close()
+			return nil, err
+		}
 	}
 	ws.Each(func(name string, tsys *System) { p.installHooks(name, tsys) })
 	ws.SetCreateHooks(
@@ -442,101 +407,110 @@ func (p *Persister) TailSince(from uint64) ([]journal.Record, error) {
 	return p.st.TailSince(from)
 }
 
-// RestoreFromCheckpoint rebuilds the default tenant's System from a
-// checkpoint payload as recovery does. Single-tenant callers use it
-// directly; multi-tenant consumers use RestoreWorkspaces.
-func RestoreFromCheckpoint(payload []byte) (*System, error) {
-	ws, err := restoreWorkspaces(payload)
+// RestoreWorkspaces rebuilds the full tenant set from a checkpoint payload.
+// Recovery starts from it, and a replication follower bootstraps this way
+// from the leader's served checkpoint, then applies the WAL tail with
+// ApplyRecordsWorkspaces.
+func RestoreWorkspaces(payload []byte) (*Workspaces, error) {
+	var doc checkpointDoc
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
+	}
+	def, err := restoreTenantDoc(tenantDoc{Store: doc.Store, Workflow: doc.Workflow, Learn: doc.Learn})
 	if err != nil {
 		return nil, err
 	}
-	return ws.Default(), nil
+	ws := NewWorkspaces(def)
+	for name, td := range doc.Tenants {
+		if err := ValidateTenantName(name); err != nil {
+			return nil, fmt.Errorf("core: checkpoint tenant: %w", err)
+		}
+		sys, err := restoreTenantDoc(td)
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint tenant %q: %w", name, err)
+		}
+		ws.tenants[name] = sys
+	}
+	return ws, nil
 }
 
-// RestoreWorkspaces rebuilds the full tenant set from a checkpoint payload.
-// A replication follower bootstraps this way from the leader's served
-// checkpoint, then applies the WAL tail with ApplyRecordsWorkspaces.
-func RestoreWorkspaces(payload []byte) (*Workspaces, error) {
-	return restoreWorkspaces(payload)
+// restoreTenantDoc rebuilds one workspace's System from its checkpoint
+// slice.
+func restoreTenantDoc(doc tenantDoc) (*System, error) {
+	sys, err := Restore(bytes.NewReader(doc.Store))
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint store: %w", err)
+	}
+	sys.queue.SetState(doc.Workflow)
+	// Learned models restore from their serialized weights, never by
+	// retraining: the checkpoint may sit mid-stream between a train op and
+	// later review updates, and only the exact captured state reproduces
+	// what the leader had there.
+	if err := sys.setLearnState(doc.Learn); err != nil {
+		return nil, fmt.Errorf("core: checkpoint learn state: %w", err)
+	}
+	return sys, nil
 }
 
-// ApplyRecordsWorkspaces routes a run of journaled records to their stamped
-// workspaces and applies each contiguous same-tenant stretch as one batch
+// ApplyRecordsWorkspaces re-executes journaled records: crash recovery
+// replays the local log through it in chunks, and a replication follower
+// drains its tailed WAL stream through it. Records route to their stamped
+// workspaces, and each contiguous same-tenant stretch applies as one batch
 // (one mutation-lock hold, one view publish). A record stamped with a
 // workspace the set does not know materializes it first — its tenant.create
 // op travels the same stream, so both recovery and followers converge on
-// the leader's tenant set without any side channel.
+// the leader's tenant set without any side channel. No mutation hook fires,
+// so nothing is re-journaled on a follower.
+//
+// Every record passes the set's epoch fence: one below it was written by a
+// deposed leader and is refused with ErrStaleEpoch, and a higher one
+// ratchets the fence before it applies. Apply is strict: a record that no
+// longer applies means the log and the state disagree. On a refused record
+// the already-applied prefix of its run is published (matching what a
+// record-at-a-time apply would have committed) and the error names the
+// offending sequence number.
 func ApplyRecordsWorkspaces(ws *Workspaces, recs []journal.Record) error {
 	for start := 0; start < len(recs); {
 		end := start + 1
 		for end < len(recs) && recs[end].Tenant == recs[start].Tenant {
 			end++
 		}
-		run := recs[start:end]
-		sys, err := ws.EnsureReplay(run[0].Tenant)
+		sys, err := ws.EnsureReplay(recs[start].Tenant)
 		if err != nil {
-			return fmt.Errorf("core: apply seq %d: %w", run[0].Seq, err)
+			return fmt.Errorf("core: apply seq %d: %w", recs[start].Seq, err)
 		}
-		if err := ApplyRecords(sys, run); err != nil {
+		if err := ws.applyRun(sys, recs[start:end]); err != nil {
 			return err
-		}
-		// Raise the set-wide fence to the run's epoch after it applies, so
-		// a workspace materialized later in the stream inherits it and a
-		// deposed leader cannot sneak stale records in via a fresh tenant.
-		if e := run[len(run)-1].Epoch; e > 0 {
-			ws.FenceEpoch(e)
 		}
 		start = end
 	}
 	return nil
 }
 
-// ApplyRecord re-executes one journaled mutation through the commit
-// pipeline, exactly as crash recovery replays the local log. Followers
-// apply the leader's shipped records with it; because no mutation hook is
-// installed on a follower, nothing is re-journaled, and each applied record
-// publishes a fresh snapshot view just like a local commit.
-func ApplyRecord(s *System, rec journal.Record) error {
-	if rec.Epoch < s.epochMark.Load() {
-		return fmt.Errorf("core: apply seq %d (%s): %w: epoch %d below fence %d",
-			rec.Seq, rec.Op, ErrStaleEpoch, rec.Epoch, s.epochMark.Load())
-	}
-	s.FenceEpoch(rec.Epoch)
-	return applyOp(s, rec)
-}
-
-// ApplyRecords re-executes a run of journaled mutations as one batch: a
-// single mutation-lock hold, records applied in order, and one view publish
-// for the whole run. Crash recovery replays the log through it in chunks,
-// and a replication follower drains its tailed WAL stream through it,
-// paying the publish cost per batch instead of per record. On a failed
-// record the already-applied prefix is published (matching what a record-
-// at-a-time apply would have committed) and the error is returned wrapped
-// with the offending sequence number.
-func ApplyRecords(s *System, recs []journal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
+// applyRun applies one workspace's run of records under a single hold of
+// its mutation lock and publishes once.
+func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, rec := range recs {
-		if mark := s.epochMark.Load(); rec.Epoch < mark {
-			if i > 0 {
-				s.publishLocked()
-			}
-			return fmt.Errorf("core: apply seq %d (%s): %w: epoch %d below fence %d",
-				rec.Seq, rec.Op, ErrStaleEpoch, rec.Epoch, mark)
+	var err error
+	applied := 0
+	for _, rec := range recs {
+		if fence := w.epoch.Load(); rec.Epoch < fence {
+			err = fmt.Errorf("core: apply seq %d (%s): %w: epoch %d below fence %d",
+				rec.Seq, rec.Op, ErrStaleEpoch, rec.Epoch, fence)
+			break
 		}
-		s.FenceEpoch(rec.Epoch)
-		if err := applyOpLocked(s, rec); err != nil {
-			if i > 0 {
-				s.publishLocked()
-			}
-			return fmt.Errorf("core: apply seq %d (%s): %w", rec.Seq, rec.Op, err)
+		w.FenceEpoch(rec.Epoch)
+		if err = applyOpLocked(s, rec); err != nil {
+			err = fmt.Errorf("core: apply seq %d (%s): %w", rec.Seq, rec.Op, err)
+			break
 		}
+		applied++
 	}
-	s.publishLocked()
-	return nil
+	if applied > 0 {
+		s.publishLocked()
+	}
+	return err
 }
 
 // applyOpLocked applies one journaled mutation with the mutation lock held
@@ -546,9 +520,9 @@ func ApplyRecords(s *System, recs []journal.Record) error {
 func applyOpLocked(s *System, rec journal.Record) error {
 	switch rec.Op {
 	case OpTenantCreate:
-		// The routing layer (ApplyRecordsWorkspaces) already materialized
-		// the workspace from the record's tenant stamp; at the System
-		// level there is nothing to apply.
+		// ApplyRecordsWorkspaces already materialized the workspace from
+		// the record's tenant stamp; at the System level there is nothing
+		// to apply.
 		return nil
 	case OpAddMaterial:
 		var p addMaterialPayload
@@ -582,110 +556,6 @@ func applyOpLocked(s *System, rec journal.Record) error {
 		}
 		s.applyLearnUpdateLocked(p)
 		return nil
-	default:
-		return applyWorkflowOp(s, rec)
-	}
-}
-
-func restoreWorkspaces(payload []byte) (*Workspaces, error) {
-	var doc checkpointDoc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
-	}
-	def, err := restoreTenantDoc(tenantDoc{Store: doc.Store, Workflow: doc.Workflow, Learn: doc.Learn})
-	if err != nil {
-		return nil, err
-	}
-	ws := NewWorkspaces(def)
-	for name, td := range doc.Tenants {
-		if err := ValidateTenantName(name); err != nil {
-			return nil, fmt.Errorf("core: checkpoint tenant: %w", err)
-		}
-		sys, err := restoreTenantDoc(td)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint tenant %q: %w", name, err)
-		}
-		ws.tenants[name] = sys
-	}
-	return ws, nil
-}
-
-// restoreTenantDoc rebuilds one workspace's System from its checkpoint
-// slice.
-func restoreTenantDoc(doc tenantDoc) (*System, error) {
-	store, err := relstore.Restore(bytes.NewReader(doc.Store))
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint store: %w", err)
-	}
-	sys, err := systemFromStore(store)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint replay: %w", err)
-	}
-	sys.queue.SetState(doc.Workflow)
-	// Learned models restore from their serialized weights, never by
-	// retraining: the checkpoint may sit mid-stream between a train op and
-	// later review updates, and only the exact captured state reproduces
-	// what the leader had there.
-	if err := sys.setLearnState(doc.Learn); err != nil {
-		return nil, fmt.Errorf("core: checkpoint learn state: %w", err)
-	}
-	return sys, nil
-}
-
-// applyOp re-executes one journaled mutation during recovery. Hooks are not
-// yet installed, so nothing is re-logged. Replay is strict: a record that
-// no longer applies means the journal and checkpoint disagree, and silently
-// skipping it would resurrect a state the system never held.
-func applyOp(s *System, rec journal.Record) error {
-	switch rec.Op {
-	case OpTenantCreate:
-		return nil
-	case OpAddMaterial:
-		var p addMaterialPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		return s.AddMaterial(p.Material)
-	case OpRemoveMaterial:
-		var p removeMaterialPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		return s.RemoveMaterial(p.ID)
-	case OpReclassify:
-		var p reclassifyPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		return s.Reclassify(p.ID, p.Classifications)
-	case OpLearnTrain:
-		var p learnTrainPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.applyLearnTrainLocked(p.Params)
-		s.publishLocked()
-		s.mu.Unlock()
-		return nil
-	case OpLearnUpdate:
-		var p learnUpdatePayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.applyLearnUpdateLocked(p)
-		s.publishLocked()
-		s.mu.Unlock()
-		return nil
-	default:
-		return applyWorkflowOp(s, rec)
-	}
-}
-
-// applyWorkflowOp re-executes one journaled workflow transition.
-func applyWorkflowOp(s *System, rec journal.Record) error {
-	switch rec.Op {
 	case workflow.OpRegister:
 		var p workflow.RegisterPayload
 		if err := json.Unmarshal(rec.Data, &p); err != nil {

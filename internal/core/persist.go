@@ -9,19 +9,14 @@ import (
 )
 
 // Restore rebuilds a System from a Snapshot stream: the relational state is
-// restored, then the in-memory materials and the search index are
-// reconstructed from the rows and classification links.
+// restored, then a fresh System replays the materials and classification
+// links it records, rebuilding the search index and the models. Checkpoint
+// recovery restores every workspace through it.
 func Restore(r io.Reader) (*System, error) {
 	store, err := relstore.Restore(r)
 	if err != nil {
 		return nil, err
 	}
-	return systemFromStore(store)
-}
-
-// systemFromStore rebuilds a fresh System by replaying the materials and
-// classification links recorded in a restored relational store.
-func systemFromStore(store *relstore.Store) (*System, error) {
 	s, err := New()
 	if err != nil {
 		return nil, err

@@ -104,29 +104,7 @@ type System struct {
 	// never during WAL replay or replication apply, so a quota lowered
 	// after writes were accepted can never wedge recovery. Guarded by mu.
 	limit int
-
-	// epochMark is the leadership-epoch high-water mark of applied records.
-	// ApplyRecord(s) rejects anything below it, which fences a deposed
-	// leader's stream out of this system no matter how the records arrive.
-	// Forward-only; see FenceEpoch.
-	epochMark atomic.Uint64
 }
-
-// FenceEpoch raises the system's epoch high-water mark. Forward-only: a
-// value at or below the current mark is ignored, so a late or reordered
-// fence can never re-admit a deposed leader's records.
-func (s *System) FenceEpoch(epoch uint64) {
-	for {
-		cur := s.epochMark.Load()
-		if epoch <= cur || s.epochMark.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
-// EpochMark reports the highest leadership epoch this system has applied or
-// been fenced at.
-func (s *System) EpochMark() uint64 { return s.epochMark.Load() }
 
 // ErrQuotaExceeded is returned (wrapped) by AddMaterial/AddMaterials when a
 // workspace material quota would be exceeded. The server maps it to 429.
@@ -411,14 +389,14 @@ func (s *System) Store() *relstore.Store { return s.store }
 // argument (or through other systems sharing the same seed corpus) never
 // leak in.
 func (s *System) AddMaterial(m *material.Material) error {
-	if errs := m.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return fmt.Errorf("core: invalid material %q: %w", m.ID, errs[0])
+	m, err := s.validated(m)
+	if err != nil {
+		return err
 	}
-	m = m.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, taken := s.materials.UniqueID("slug", m.ID); taken {
-		return fmt.Errorf("core: add %q: duplicate material", m.ID)
+	if err := s.uniqueLocked(m.ID); err != nil {
+		return err
 	}
 	if err := s.quotaRoomLocked(1); err != nil {
 		return fmt.Errorf("core: add %q: %w", m.ID, err)
@@ -488,58 +466,96 @@ func (s *System) entryRowIDLocked(cl material.Classification) (int64, error) {
 func (s *System) RemoveMaterial(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	row := s.materials.LookupUnique("slug", id)
-	if row == nil {
-		return fmt.Errorf("core: no material %q", id)
+	rowID, err := s.rowIDLocked(id)
+	if err != nil {
+		return err
 	}
 	if err := s.hookLocked(OpRemoveMaterial, removeMaterialPayload{ID: id}); err != nil {
 		return fmt.Errorf("core: remove %q: %w", id, err)
 	}
-	if err := s.applyRemoveLocked(id, row.ID()); err != nil {
+	if err := s.applyRemoveLocked(id, rowID); err != nil {
 		return err
 	}
 	s.publishLocked()
 	return nil
 }
 
-// addMaterialLocked is AddMaterial without the hook, lock, or publish: the
-// validate-check-apply core that recovery and replication batch-apply share.
-func (s *System) addMaterialLocked(m *material.Material) error {
+// validated checks a material against the curricula and returns the deep
+// copy the system stores. It reads only the immutable ontologies, so
+// AddMaterial runs it before taking the mutation lock.
+func (s *System) validated(m *material.Material) (*material.Material, error) {
 	if errs := m.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return fmt.Errorf("core: invalid material %q: %w", m.ID, errs[0])
+		return nil, fmt.Errorf("core: invalid material %q: %w", m.ID, errs[0])
 	}
-	m = m.Clone()
-	if _, taken := s.materials.UniqueID("slug", m.ID); taken {
-		return fmt.Errorf("core: add %q: duplicate material", m.ID)
+	return m.Clone(), nil
+}
+
+// uniqueLocked refuses a material id that is already stored.
+func (s *System) uniqueLocked(id string) error {
+	if _, taken := s.materials.UniqueID("slug", id); taken {
+		return fmt.Errorf("core: add %q: duplicate material", id)
+	}
+	return nil
+}
+
+// rowIDLocked resolves a stored material's relational row id.
+func (s *System) rowIDLocked(id string) (int64, error) {
+	rowID, ok := s.materials.UniqueID("slug", id)
+	if !ok {
+		return 0, fmt.Errorf("core: no material %q", id)
+	}
+	return rowID, nil
+}
+
+// reclassifiedLocked validates a reclassification and returns the stored
+// material, its replacement carrying cls, and its row id.
+func (s *System) reclassifiedLocked(id string, cls []material.Classification) (prev, next *material.Material, rowID int64, err error) {
+	prev = s.engine.Get(id)
+	if prev == nil {
+		return nil, nil, 0, fmt.Errorf("core: no material %q", id)
+	}
+	next = prev.Clone()
+	next.Classifications = append([]material.Classification(nil), cls...)
+	if errs := next.Validate(s.cs13, s.pdc12); len(errs) > 0 {
+		return nil, nil, 0, fmt.Errorf("core: reclassify %q: %w", id, errs[0])
+	}
+	rowID, ok := s.materials.UniqueID("slug", id)
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("core: store out of sync for %q", id)
+	}
+	return prev, next, rowID, nil
+}
+
+// addMaterialLocked is AddMaterial without the quota, hook, lock, or
+// publish: the validate-check-apply core that recovery and replication
+// apply share.
+func (s *System) addMaterialLocked(m *material.Material) error {
+	m, err := s.validated(m)
+	if err != nil {
+		return err
+	}
+	if err := s.uniqueLocked(m.ID); err != nil {
+		return err
 	}
 	return s.applyAddLocked(m)
 }
 
 // removeMaterialLocked is RemoveMaterial without the hook, lock, or publish.
 func (s *System) removeMaterialLocked(id string) error {
-	row := s.materials.LookupUnique("slug", id)
-	if row == nil {
-		return fmt.Errorf("core: no material %q", id)
+	rowID, err := s.rowIDLocked(id)
+	if err != nil {
+		return err
 	}
-	return s.applyRemoveLocked(id, row.ID())
+	return s.applyRemoveLocked(id, rowID)
 }
 
 // reclassifyLocked is Reclassify without the hook, lock, or publish.
 func (s *System) reclassifyLocked(id string, cls []material.Classification) error {
-	m := s.engine.Get(id)
-	if m == nil {
-		return fmt.Errorf("core: no material %q", id)
+	prev, next, rowID, err := s.reclassifiedLocked(id, cls)
+	if err != nil {
+		return err
 	}
-	next := m.Clone()
-	next.Classifications = append([]material.Classification(nil), cls...)
-	if errs := next.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return fmt.Errorf("core: reclassify %q: %w", id, errs[0])
-	}
-	row := s.materials.LookupUnique("slug", id)
-	if row == nil {
-		return fmt.Errorf("core: store out of sync for %q", id)
-	}
-	return s.applyReclassifyLocked(m, next, row.ID(), cls)
+	return s.applyReclassifyLocked(prev, next, rowID)
 }
 
 // applyRemoveLocked commits an already-journaled removal without publishing.
@@ -563,23 +579,14 @@ func (s *System) applyRemoveLocked(id string, rowID int64) error {
 func (s *System) Reclassify(id string, cls []material.Classification) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.engine.Get(id)
-	if m == nil {
-		return fmt.Errorf("core: no material %q", id)
-	}
-	next := m.Clone()
-	next.Classifications = append([]material.Classification(nil), cls...)
-	if errs := next.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return fmt.Errorf("core: reclassify %q: %w", id, errs[0])
-	}
-	row := s.materials.LookupUnique("slug", id)
-	if row == nil {
-		return fmt.Errorf("core: store out of sync for %q", id)
+	prev, next, rowID, err := s.reclassifiedLocked(id, cls)
+	if err != nil {
+		return err
 	}
 	if err := s.hookLocked(OpReclassify, reclassifyPayload{ID: id, Classifications: cls}); err != nil {
 		return fmt.Errorf("core: reclassify %q: %w", id, err)
 	}
-	if err := s.applyReclassifyLocked(m, next, row.ID(), cls); err != nil {
+	if err := s.applyReclassifyLocked(prev, next, rowID); err != nil {
 		return err
 	}
 	s.publishLocked()
@@ -588,9 +595,9 @@ func (s *System) Reclassify(id string, cls []material.Classification) error {
 
 // applyReclassifyLocked commits an already-validated, already-journaled
 // reclassification without publishing.
-func (s *System) applyReclassifyLocked(prev, next *material.Material, rowID int64, cls []material.Classification) error {
+func (s *System) applyReclassifyLocked(prev, next *material.Material, rowID int64) error {
 	s.links.RemoveLeft(rowID)
-	for _, cl := range cls {
+	for _, cl := range next.Classifications {
 		entryID, err := s.entryRowIDLocked(cl)
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultTenant is the workspace every legacy (un-prefixed) API route, every
@@ -64,10 +65,11 @@ type Workspaces struct {
 	// current and future workspace (the default tenant included).
 	quota int
 
-	// epoch is the set-wide leadership-epoch fence. Workspaces created
-	// after a failover inherit it, so a stale record for a brand-new tenant
-	// is rejected just like one for an existing tenant. Guarded by mu.
-	epoch uint64
+	// epoch is the leadership-epoch fence: the highest term of any record
+	// applied to (or fence raised on) the set. It is set-wide, so a stale
+	// record is rejected whichever tenant it names, including one the
+	// stream has only just created. Forward-only; see FenceEpoch.
+	epoch atomic.Uint64
 
 	// onCreate, when set (by the durability layer), journals the
 	// tenant.create op and wires persistence hooks into the new System.
@@ -108,18 +110,12 @@ func (w *Workspaces) AdoptFrom(src *Workspaces) {
 	// src is freshly restored and unshared; its fields need no lock.
 	w.def = src.def
 	w.tenants = src.tenants
-	if src.epoch > w.epoch {
-		w.epoch = src.epoch
-	}
+	w.FenceEpoch(src.epoch.Load())
 	if w.quota > 0 {
 		w.def.SetMaterialLimit(w.quota)
-	}
-	w.def.FenceEpoch(w.epoch)
-	for _, sys := range w.tenants {
-		if w.quota > 0 {
+		for _, sys := range w.tenants {
 			sys.SetMaterialLimit(w.quota)
 		}
-		sys.FenceEpoch(w.epoch)
 	}
 }
 
@@ -137,11 +133,11 @@ func (w *Workspaces) SetCreateHooks(created, replayed func(name string, sys *Sys
 // Get returns the named workspace's System. The empty name and "default"
 // resolve to the default tenant.
 func (w *Workspaces) Get(name string) (*System, bool) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
 	if name == "" || name == DefaultTenant {
 		return w.def, true
 	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
 	sys, ok := w.tenants[name]
 	return sys, ok
 }
@@ -152,7 +148,7 @@ func (w *Workspaces) Get(name string) (*System, bool) {
 // ValidateTenantName.
 func (w *Workspaces) Create(name string) (sys *System, created bool, err error) {
 	if name == DefaultTenant {
-		return w.def, false, nil
+		return w.Default(), false, nil
 	}
 	if err := ValidateTenantName(name); err != nil {
 		return nil, false, err
@@ -166,7 +162,7 @@ func (w *Workspaces) Create(name string) (sys *System, created bool, err error) 
 // corrupt name in the stream is an error, not a tenant.
 func (w *Workspaces) EnsureReplay(name string) (*System, error) {
 	if name == "" || name == DefaultTenant {
-		return w.def, nil
+		return w.Default(), nil
 	}
 	if err := ValidateTenantName(name); err != nil {
 		return nil, err
@@ -188,7 +184,6 @@ func (w *Workspaces) ensure(name string, journal bool) (*System, bool, error) {
 	if w.quota > 0 {
 		sys.SetMaterialLimit(w.quota)
 	}
-	sys.FenceEpoch(w.epoch)
 	hook := w.onReplayCreate
 	if journal {
 		hook = w.onCreate
@@ -243,26 +238,20 @@ func (w *Workspaces) Each(fn func(name string, sys *System)) {
 	}
 }
 
-// FenceEpoch raises the leadership-epoch fence on every current workspace
-// and records it for future ones. Forward-only, like System.FenceEpoch.
+// FenceEpoch raises the leadership-epoch fence. Forward-only: a value at or
+// below the current fence is ignored, so a late or reordered fence can
+// never re-admit a deposed leader's records.
 func (w *Workspaces) FenceEpoch(epoch uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if epoch > w.epoch {
-		w.epoch = epoch
-	}
-	w.def.FenceEpoch(epoch)
-	for _, sys := range w.tenants {
-		sys.FenceEpoch(epoch)
+	for {
+		cur := w.epoch.Load()
+		if epoch <= cur || w.epoch.CompareAndSwap(cur, epoch) {
+			return
+		}
 	}
 }
 
-// Epoch reports the set-wide leadership-epoch fence.
-func (w *Workspaces) Epoch() uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.epoch
-}
+// Epoch reports the leadership-epoch fence.
+func (w *Workspaces) Epoch() uint64 { return w.epoch.Load() }
 
 // SetQuota applies a material-count quota to every current and future
 // workspace; zero or negative removes it.

@@ -301,3 +301,34 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatalf("post-replay add under shrunk quota = %v, want ErrQuotaExceeded", err)
 	}
 }
+
+// TestWorkspacesDefaultLookupRacesAdopt: resolving the default workspace by
+// name must stay safe while a follower's re-bootstrap swaps the whole set
+// in place. Meaningful under -race.
+func TestWorkspacesDefaultLookupRacesAdopt(t *testing.T) {
+	ws := newTestWorkspaces(t)
+	srcs := []*Workspaces{newTestWorkspaces(t), newTestWorkspaces(t)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			ws.AdoptFrom(srcs[i%len(srcs)])
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if sys, ok := ws.Get(DefaultTenant); !ok || sys == nil {
+			t.Fatalf("Get(%q) = %v, %v", DefaultTenant, sys, ok)
+		}
+		if _, _, err := ws.Create(DefaultTenant); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ws.EnsureReplay(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

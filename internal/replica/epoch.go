@@ -15,8 +15,9 @@ import (
 // Every leadership term has a number, stamped on every record the term's
 // leader journals (journal.Record.Epoch). Promotion bumps the epoch, so two
 // leaders can never write the same term: the deposed leader's records carry
-// the old epoch, and every applier (follower stream, recovery replay,
-// direct ApplyRecords) rejects records below its epoch high-water mark.
+// the old epoch, and the one applier every record passes through
+// (core.ApplyRecordsWorkspaces, for both the follower stream and recovery
+// replay) rejects records below the workspace set's epoch fence.
 //
 // Epoch-per-record rather than epoch-per-connection is deliberate: a
 // connection-scoped epoch only fences the handshake, leaving records already

@@ -9,8 +9,9 @@
 //     the latest checkpoint payload plus the sequence it covers) and
 //     GET /api/replication/wal?from=SEQ (a long-poll, chunked tail of
 //     framed records with Seq > from, fed live from the append path).
-//   - A Follower bootstraps from the checkpoint, applies the tail through
-//     the ordinary commit pipeline (core.ApplyRecord), and publishes
+//   - A Follower bootstraps from the checkpoint (core.RestoreWorkspaces),
+//     applies the tail through the same path recovery replays the local
+//     log with (core.ApplyRecordsWorkspaces), and publishes
 //     snapshot-isolated views exactly like a local commit — reads on a
 //     follower are the same lock-free reads as on the leader, just bounded
 //     by the follower's applied sequence. Followers reject writes with 503

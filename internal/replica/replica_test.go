@@ -158,7 +158,7 @@ func TestHubServesCheckpointAndWAL(t *testing.T) {
 	if resp.Header.Get(replica.HeaderCheckpointSeq) == "" || len(body) == 0 {
 		t.Fatalf("checkpoint response missing seq header or payload")
 	}
-	if _, err := core.RestoreFromCheckpoint(body); err != nil {
+	if _, err := core.RestoreWorkspaces(body); err != nil {
 		t.Fatalf("served checkpoint does not restore: %v", err)
 	}
 

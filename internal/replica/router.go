@@ -36,8 +36,8 @@ const (
 type RouterConfig struct {
 	// Backends are the member base URLs. Leadership is discovered by
 	// probing each member's /api/health/ready (role + epoch), not assumed
-	// from order; the first entry only serves as the compatibility leader
-	// for backends too old to report a role.
+	// from order; the first entry only serves as the leader guess until the
+	// first probe lands.
 	Backends []string
 	// ProbeInterval paces health probes.
 	ProbeInterval time.Duration
@@ -55,13 +55,14 @@ type RouterConfig struct {
 	Breaker resilience.BreakerConfig
 }
 
-// Probed backend roles.
+// Probed backend roles. The zero value, roleOther, covers a backend not yet
+// probed and one whose probe reported no role it recognizes: neither ever
+// claims the write path.
 const (
-	roleUnknown int32 = iota // probe never decoded a role (legacy backend)
+	roleOther int32 = iota
 	roleLeader
 	roleFollower
 	roleFenced
-	roleOther
 )
 
 func roleString(r int32) string {
@@ -72,17 +73,14 @@ func roleString(r int32) string {
 		return "follower"
 	case roleFenced:
 		return "fenced"
-	case roleOther:
-		return "other"
 	}
-	return "unknown"
+	return "other"
 }
 
 // backend is one routed member with its ejection breaker and last-probed
 // replication position.
 type backend struct {
 	url     string
-	first   bool // config order; leader-compat for backends with no role
 	breaker *resilience.Breaker
 
 	role     atomic.Int32
@@ -95,17 +93,8 @@ type backend struct {
 }
 
 // claimsLeader reports whether this backend's last probe claimed the write
-// path: an explicit leader role, or — for backends predating role
-// reporting — the configured first position.
-func (b *backend) claimsLeader() bool {
-	switch b.role.Load() {
-	case roleLeader:
-		return true
-	case roleUnknown:
-		return b.first
-	}
-	return false
-}
+// path.
+func (b *backend) claimsLeader() bool { return b.role.Load() == roleLeader }
 
 // Router fans reads out across followers with the leader as fallback, and
 // proxies writes to the discovered leader. A failed read attempt is retried
@@ -169,10 +158,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		MaxIdleConnsPerHost: 256,
 		IdleConnTimeout:     90 * time.Second,
 	}}}
-	for i, raw := range cfg.Backends {
+	for _, raw := range cfg.Backends {
 		rt.backends = append(rt.backends, &backend{
 			url:     strings.TrimRight(raw, "/"),
-			first:   i == 0,
 			breaker: resilience.NewBreaker(cfg.Breaker),
 		})
 	}
@@ -307,8 +295,6 @@ func (rt *Router) probe(b *backend) {
 				b.role.Store(roleFollower)
 			case "fenced":
 				b.role.Store(roleFenced)
-			case "":
-				b.role.Store(roleUnknown)
 			default:
 				b.role.Store(roleOther)
 			}

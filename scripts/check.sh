@@ -20,6 +20,10 @@ go build ./...
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+# bench/ is its own Go module: the root ./... never compiles it.
+echo "== bench module vet + test =="
+(cd bench && go vet ./... && go test ./...)
+
 echo "== chaos drill =="
 make chaos
 
