@@ -131,12 +131,13 @@ type Persister struct {
 // OpenDurable opens (or initializes) a durability directory and returns the
 // recovered System wired to journal every further mutation.
 //
-// Recovery: the last checkpoint is loaded (or a fresh — optionally seeded —
-// system is built and immediately checkpointed), then the write-ahead log
-// is replayed on top. A torn final record is truncated and forgotten; a
-// corrupt interior record refuses the open. After recovery, mutation hooks
-// are installed on both the system and its workflow queue, so every
-// accepted write reaches the log, fsync'd, before it commits.
+// Recovery: the last checkpoint is restored through the batch build path
+// (or a fresh — optionally seeded — system is built and immediately
+// checkpointed), then the write-ahead log is replayed on top in chunks. A
+// torn final record is truncated and forgotten; a corrupt interior record
+// refuses the open. After recovery, mutation hooks are installed on both the
+// system and its workflow queue, so every accepted write reaches the log,
+// fsync'd, before it commits.
 func OpenDurable(dir string, opts DurableOptions) (*System, *Persister, error) {
 	p, err := openPersister(dir, opts, func(st *journal.Store) (*Workspaces, bool, error) {
 		payload, haveCheckpoint, err := st.Checkpoint()
@@ -161,10 +162,11 @@ func OpenDurable(dir string, opts DurableOptions) (*System, *Persister, error) {
 			return nil, false, err
 		}
 		// Replay in chunks: each chunk applies under one mutation-lock hold
-		// per tenant run and publishes one view per run, so recovering a
-		// long log costs O(records) applies but only O(records /
-		// replayChunk) view publishes on the common single-tenant
-		// stretches. Records route to their stamped workspace; an unknown
+		// per tenant run and publishes one view per run, and within a run
+		// each stretch of consecutive adds builds as one batch, so a long
+		// log costs O(records / replayChunk) view publishes and builder
+		// sessions on the common single-tenant stretches, not one per
+		// record. Records route to their stamped workspace; an unknown
 		// workspace is materialized on first sight (its tenant.create op
 		// travels the same stream).
 		chunk := make([]journal.Record, 0, replayChunk)
@@ -325,7 +327,8 @@ func (p *Persister) installHooks(name string, sys *System) {
 }
 
 // replayChunk is how many journaled records recovery applies per mutation-
-// lock hold (and per published view).
+// lock hold and per published view; it also caps how many adds one
+// stretch builds in a single batch.
 const replayChunk = 256
 
 // appendJournal is the durability gate every mutation passes through,
@@ -488,12 +491,27 @@ func ApplyRecordsWorkspaces(ws *Workspaces, recs []journal.Record) error {
 }
 
 // applyRun applies one workspace's run of records under a single hold of
-// its mutation lock and publishes once.
+// its mutation lock and publishes once. Each stretch of consecutive
+// material.add records is gathered and built through one
+// applyAddBatchLocked; any other op first flushes the stretch, so it sees
+// every earlier add. On a refused record the good prefix, gathered adds
+// included, is still built and published.
 func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	applied := 0
+	var (
+		err     error
+		applied int
+		adds    addStretch
+		from    uint64 // seq of the pending stretch's first add
+	)
+	flush := func() error {
+		n := len(adds.ms)
+		if err := adds.flush(s); err != nil {
+			return fmt.Errorf("core: apply seq %d (%d-record %s stretch): %w", from, n, OpAddMaterial, err)
+		}
+		return nil
+	}
 	for _, rec := range recs {
 		if fence := w.epoch.Load(); rec.Epoch < fence {
 			err = fmt.Errorf("core: apply seq %d (%s): %w: epoch %d below fence %d",
@@ -501,11 +519,21 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 			break
 		}
 		w.FenceEpoch(rec.Epoch)
-		if err = applyOpLocked(s, rec); err != nil {
+		if rec.Op != OpAddMaterial {
+			if err = flush(); err != nil {
+				break
+			}
+		} else if len(adds.ms) == 0 {
+			from = rec.Seq
+		}
+		if err = applyOpLocked(s, rec, &adds); err != nil {
 			err = fmt.Errorf("core: apply seq %d (%s): %w", rec.Seq, rec.Op, err)
 			break
 		}
 		applied++
+	}
+	if ferr := flush(); err == nil {
+		err = ferr
 	}
 	if applied > 0 {
 		s.publishLocked()
@@ -513,11 +541,53 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 	return err
 }
 
+// addStretch gathers consecutive replayed material.add records so they
+// build through one applyAddBatchLocked — one builder session per container
+// — instead of one insert each.
+type addStretch struct {
+	ms []*material.Material
+	// ids holds the stretch's material ids; created when a stretch starts.
+	ids map[string]struct{}
+}
+
+// add validates m and queues its stored copy. Like a lone add, it refuses
+// an id already stored, and also one already queued in the stretch.
+func (a *addStretch) add(s *System, m *material.Material) error {
+	m, err := s.validated(m)
+	if err != nil {
+		return err
+	}
+	if err := s.uniqueLocked(m.ID); err != nil {
+		return err
+	}
+	if a.ids == nil {
+		a.ids = make(map[string]struct{})
+	} else if _, dup := a.ids[m.ID]; dup {
+		return fmt.Errorf("core: add %q: duplicate material", m.ID)
+	}
+	a.ids[m.ID] = struct{}{}
+	a.ms = append(a.ms, m)
+	return nil
+}
+
+// flush builds the queued materials, without publishing, and empties the
+// stretch. Callers hold mu.
+func (a *addStretch) flush(s *System) error {
+	if len(a.ms) == 0 {
+		return nil
+	}
+	err := s.applyAddBatchLocked(a.ms)
+	*a = addStretch{}
+	return err
+}
+
 // applyOpLocked applies one journaled mutation with the mutation lock held
-// and without publishing. Workflow ops go through the queue directly (the
-// system → queue lock order matches the checkpoint path); its observer still
-// republishes the generation, which is cheap and keeps workflow reads live.
-func applyOpLocked(s *System, rec journal.Record) error {
+// and without publishing. A material.add is validated and queued on adds
+// rather than built; the caller flushes the stretch before any other op.
+// Workflow ops go through the queue directly (the system → queue lock order
+// matches the checkpoint path); its observer still republishes the
+// generation, which is cheap and keeps workflow reads live.
+func applyOpLocked(s *System, rec journal.Record, adds *addStretch) error {
 	switch rec.Op {
 	case OpTenantCreate:
 		// ApplyRecordsWorkspaces already materialized the workspace from
@@ -529,7 +599,7 @@ func applyOpLocked(s *System, rec journal.Record) error {
 		if err := json.Unmarshal(rec.Data, &p); err != nil {
 			return err
 		}
-		return s.addMaterialLocked(p.Material)
+		return adds.add(s, p.Material)
 	case OpRemoveMaterial:
 		var p removeMaterialPayload
 		if err := json.Unmarshal(rec.Data, &p); err != nil {

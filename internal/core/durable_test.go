@@ -363,3 +363,36 @@ func TestDurableHealthStats(t *testing.T) {
 func matID(prefix string, i int) string {
 	return prefix + "-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
 }
+
+// TestDurableRestartKeepsBloomLevels: a graceful restart restores from the
+// final checkpoint alone, and must hand back every material with the Bloom
+// levels it had — the seeded ITCS 3145 ratings and one a journaled
+// reclassification set — not just the same snapshot bytes.
+func TestDurableRestartKeepsBloomLevels(t *testing.T) {
+	dir := t.TempDir()
+	sys, p, err := OpenDurable(dir, DurableOptions{Seed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Reclassify(sys.Materials("peachy")[0].ID, []material.Classification{
+		{NodeID: pdcEntry(), Bloom: ontology.BloomKnow},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := canonMaterials(sys)
+	if ratedCount(want) < 2 {
+		t.Fatalf("test setup: only %d rated classifications", ratedCount(want))
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, p2, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer abandon(p2)
+	if n := p2.Stats().WALRecords; n != 0 {
+		t.Fatalf("restart replayed %d journal records, want a checkpoint-only restore", n)
+	}
+	assertSameMaterials(t, canonMaterials(sys2), want)
+}

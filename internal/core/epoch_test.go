@@ -1,18 +1,32 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"carcs/internal/corpus"
 	"carcs/internal/journal"
+	"carcs/internal/learn"
+	"carcs/internal/material"
+	"carcs/internal/workflow"
 )
 
 // matRecord builds a journaled material.add for the given id at the given
 // epoch, the record shape a leader's WAL ships to followers.
 func matRecord(t *testing.T, seq, epoch uint64, id string) journal.Record {
 	t.Helper()
-	data, err := json.Marshal(addMaterialPayload{Material: testMat(id, arrayEntry())})
+	return addRecord(t, seq, epoch, testMat(id, arrayEntry()))
+}
+
+// addRecord builds a journaled material.add of m.
+func addRecord(t *testing.T, seq, epoch uint64, m *material.Material) journal.Record {
+	t.Helper()
+	data, err := json.Marshal(addMaterialPayload{Material: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,5 +155,156 @@ func TestApplyRecordsWorkspacesFencesFreshTenants(t *testing.T) {
 	}
 	if sys.Len() != 0 {
 		t.Fatalf("stale record applied to fresh tenant: %d materials", sys.Len())
+	}
+}
+
+// TestApplyRecordsAddStretchRefusals: consecutive adds build as one
+// stretch, yet a refused record inside it behaves exactly as under
+// record-at-a-time apply — the error names its sequence number, the adds
+// before it are built and published, and nothing after it applies.
+func TestApplyRecordsAddStretchRefusals(t *testing.T) {
+	invalid := testMat("bad-kind", arrayEntry())
+	invalid.Kind = "zeppelin"
+	cases := []struct {
+		name  string
+		bad   journal.Record
+		stale bool
+	}{
+		{name: "duplicate in stretch", bad: matRecord(t, 3, 1, "ok-1")},
+		{name: "invalid material", bad: addRecord(t, 3, 1, invalid)},
+		{name: "stale epoch", bad: matRecord(t, 3, 0, "stale"), stale: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := newTestWorkspaces(t)
+			recs := []journal.Record{
+				matRecord(t, 1, 1, "ok-1"),
+				matRecord(t, 2, 1, "ok-2"),
+				tc.bad,
+				matRecord(t, 4, 1, "after"),
+			}
+			err := ApplyRecordsWorkspaces(ws, recs)
+			if err == nil || !strings.Contains(err.Error(), "seq 3 ") {
+				t.Fatalf("err = %v, want a refusal naming seq 3", err)
+			}
+			if tc.stale != errors.Is(err, ErrStaleEpoch) {
+				t.Fatalf("err = %v, stale-epoch refusal = %v", err, tc.stale)
+			}
+			v := ws.Default().View()
+			if got := len(v.Materials("")); got != 2 || v.Material("ok-1") == nil || v.Material("ok-2") == nil {
+				t.Fatalf("published view holds %d materials, want ok-1 and ok-2", got)
+			}
+			if v.Material("after") != nil {
+				t.Fatal("record after the refusal applied")
+			}
+		})
+	}
+}
+
+// TestApplyRecordsStretchesMatchRecordAtATime: a real journal mixing add
+// stretches with learn.train, learn.update and workflow ops must replay to
+// the same relational state, learned models and review queue whether it is
+// applied in one call (adds gathered into stretches) or one record per call.
+func TestApplyRecordsStretchesMatchRecordAtATime(t *testing.T) {
+	dir := t.TempDir()
+	sys, p, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := corpus.Synthetic(corpus.SyntheticOptions{N: 48, Seed: 3}).All()
+	for _, m := range mats[:20] {
+		if err := sys.AddMaterial(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.TrainLearned(learn.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	wf := sys.Workflow()
+	if _, err := wf.Register("sue", workflow.RoleSubmitter); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wf.Register("ed", workflow.RoleEditor); err != nil {
+		t.Fatal(err)
+	}
+	var subs []int64
+	for _, m := range mats[20:26] {
+		sub, err := wf.Submit("sue", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub.ID)
+	}
+	if err := sys.AddMaterials(mats[26:40]); err != nil {
+		t.Fatal(err)
+	}
+	if err := wf.Review("ed", subs[0], workflow.StatusApproved, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LearnFromReview(mats[20], true); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mats[40:] {
+		if err := sys.AddMaterial(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.TrainLearned(learn.DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	abandon(p)
+
+	st, err := journal.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journal.Record
+	if _, err := st.Replay(func(rec journal.Record) error { recs = append(recs, rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	clock := func() time.Time { return time.Unix(1_600_000_000, 0) }
+	replay := func(perRecord bool) *System {
+		ws := newTestWorkspaces(t)
+		ws.Default().Workflow().SetClock(clock)
+		if !perRecord {
+			if err := ApplyRecordsWorkspaces(ws, recs); err != nil {
+				t.Fatal(err)
+			}
+			return ws.Default()
+		}
+		for _, rec := range recs {
+			if err := ApplyRecordsWorkspaces(ws, []journal.Record{rec}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ws.Default()
+	}
+	whole, single := replay(false), replay(true)
+	if snapshotString(t, whole) != snapshotString(t, single) {
+		t.Error("relational state differs between stretched and per-record apply")
+	}
+	wl, err := whole.LearnState().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := single.LearnState().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wl, sl) {
+		t.Error("learned models differ between stretched and per-record apply")
+	}
+	wq, _ := json.Marshal(whole.Workflow().State())
+	sq, _ := json.Marshal(single.Workflow().State())
+	if !bytes.Equal(wq, sq) {
+		t.Error("workflow queue differs between stretched and per-record apply")
+	}
+	if g, w := fmt.Sprint(reviewQueueIDs(whole)), fmt.Sprint(reviewQueueIDs(single)); g != w {
+		t.Errorf("review queue order = %s, want %s", g, w)
+	}
+	if whole.Len() != len(mats)-6 {
+		t.Errorf("replayed %d materials, want %d", whole.Len(), len(mats)-6)
 	}
 }

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -216,6 +217,9 @@ func New() (*System, error) {
 			{Name: "authors", Type: relstore.StringList},
 			{Name: "datasets", Type: relstore.StringList},
 			{Name: "tags", Type: relstore.StringList},
+			// blooms holds the Bloom levels of a material's rated
+			// classifications (see bloomColumn); absent when none is rated.
+			{Name: "blooms", Type: relstore.StringList},
 		},
 	})
 	if err != nil {
@@ -350,10 +354,8 @@ func NewSeeded() (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range corpus.AllMaterials() {
-		if err := s.AddMaterial(m); err != nil {
-			return nil, fmt.Errorf("core: seeding %s: %w", m.ID, err)
-		}
+	if err := s.AddMaterials(corpus.AllMaterials()); err != nil {
+		return nil, fmt.Errorf("core: seeding: %w", err)
 	}
 	return s, nil
 }
@@ -413,7 +415,7 @@ func (s *System) AddMaterial(m *material.Material) error {
 
 // materialRow maps a material onto its relational row.
 func materialRow(m *material.Material) relstore.Row {
-	return relstore.Row{
+	row := relstore.Row{
 		"slug":        m.ID,
 		"title":       m.Title,
 		"kind":        string(m.Kind),
@@ -427,6 +429,10 @@ func materialRow(m *material.Material) relstore.Row {
 		"datasets":    append([]string{}, m.Datasets...),
 		"tags":        append([]string{}, m.Tags...),
 	}
+	if blooms := bloomColumn(m); blooms != nil {
+		row["blooms"] = blooms
+	}
+	return row
 }
 
 // applyAddLocked commits one already-validated, already-journaled material
@@ -526,20 +532,6 @@ func (s *System) reclassifiedLocked(id string, cls []material.Classification) (p
 	return prev, next, rowID, nil
 }
 
-// addMaterialLocked is AddMaterial without the quota, hook, lock, or
-// publish: the validate-check-apply core that recovery and replication
-// apply share.
-func (s *System) addMaterialLocked(m *material.Material) error {
-	m, err := s.validated(m)
-	if err != nil {
-		return err
-	}
-	if err := s.uniqueLocked(m.ID); err != nil {
-		return err
-	}
-	return s.applyAddLocked(m)
-}
-
 // removeMaterialLocked is RemoveMaterial without the hook, lock, or publish.
 func (s *System) removeMaterialLocked(id string) error {
 	rowID, err := s.rowIDLocked(id)
@@ -596,6 +588,15 @@ func (s *System) Reclassify(id string, cls []material.Classification) error {
 // applyReclassifyLocked commits an already-validated, already-journaled
 // reclassification without publishing.
 func (s *System) applyReclassifyLocked(prev, next *material.Material, rowID int64) error {
+	if blooms := bloomColumn(next); !slices.Equal(blooms, bloomColumn(prev)) {
+		var v any // nil clears the column
+		if blooms != nil {
+			v = blooms
+		}
+		if err := s.materials.Update(rowID, relstore.Row{"blooms": v}); err != nil {
+			return err
+		}
+	}
 	s.links.RemoveLeft(rowID)
 	for _, cl := range next.Classifications {
 		entryID, err := s.entryRowIDLocked(cl)

@@ -386,22 +386,35 @@ func (t *Table) InsertBatch(rows []Row) ([]int64, error) {
 		}
 	}
 	ns := st.clone()
-	rowsB := ns.rows.Builder()
-	uniqueBs := make(map[string]*pmap.Builder[string, int64], len(ns.uniques))
-	for col, idx := range ns.uniques {
-		uniqueBs[col] = idx.Builder()
-	}
-	indexBs := make(map[string]*pmap.Builder[string, *pmap.Map[int64, struct{}]], len(ns.indexes))
-	for col, idx := range ns.indexes {
-		indexBs[col] = idx.Builder()
-	}
 	ids := make([]int64, len(rows))
+	stored := make([]Row, len(rows))
 	for i, r := range rows {
 		ns.nextID++
-		id := ns.nextID
-		ids[i] = id
-		row := r.clone()
-		row["id"] = id
+		ids[i] = ns.nextID
+		stored[i] = r.clone()
+		stored[i]["id"] = ids[i]
+	}
+	ns.install(stored)
+	t.state.Store(ns)
+	return ids, nil
+}
+
+// install writes rows, each already carrying its id, into the state and
+// its indexes through one pmap.Builder session per container, so each trie
+// node is copied at most once for the whole batch. The receiver must be a
+// freshly cloned, not-yet-published state.
+func (st *tableState) install(rows []Row) {
+	rowsB := st.rows.Builder()
+	uniqueBs := make(map[string]*pmap.Builder[string, int64], len(st.uniques))
+	for col, idx := range st.uniques {
+		uniqueBs[col] = idx.Builder()
+	}
+	indexBs := make(map[string]*pmap.Builder[string, *pmap.Map[int64, struct{}]], len(st.indexes))
+	for col, idx := range st.indexes {
+		indexBs[col] = idx.Builder()
+	}
+	for _, row := range rows {
+		id := row.ID()
 		rowsB.Set(id, row)
 		for col, ub := range uniqueBs {
 			if v, ok := row[col]; ok && v != nil {
@@ -422,15 +435,13 @@ func (t *Table) InsertBatch(rows []Row) ([]int64, error) {
 			}
 		}
 	}
-	ns.rows = rowsB.Map()
+	st.rows = rowsB.Map()
 	for col, ub := range uniqueBs {
-		ns.uniques[col] = ub.Map()
+		st.uniques[col] = ub.Map()
 	}
 	for col, ib := range indexBs {
-		ns.indexes[col] = ib.Map()
+		st.indexes[col] = ib.Map()
 	}
-	t.state.Store(ns)
-	return ids, nil
 }
 
 // Get returns a copy of the row with the given id, or nil if absent.

@@ -75,56 +75,52 @@ func Restore(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, raw := range ts.Rows {
+		rows := make([]Row, len(ts.Rows))
+		for i, raw := range ts.Rows {
 			row, id, err := rowFromJSON(t, raw)
 			if err != nil {
 				return nil, err
 			}
-			if err := t.restoreRow(id, row); err != nil {
-				return nil, err
-			}
+			row["id"] = id
+			rows[i] = row
 		}
-		t.restoreNextID(ts.NextID)
+		if err := t.restoreRows(rows, ts.NextID); err != nil {
+			return nil, err
+		}
 	}
 	for _, ls := range snap.Links {
 		l, err := s.CreateLink(ls.Name, ls.Left, ls.Right)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range ls.Pairs {
-			l.Add(p[0], p[1])
-		}
+		l.AddBatch(ls.Pairs)
 	}
 	return s, nil
 }
 
-// restoreRow installs a row under an explicit id (snapshot replay only).
-func (t *Table) restoreRow(id int64, row Row) error {
+// restoreRows installs snapshot rows under their explicit ids in one edit
+// session, the way InsertBatch installs fresh ones, and raises the id
+// counter to at least nextID (snapshot replay only). A duplicate id, within
+// the rows or against the table, refuses the whole set.
+func (t *Table) restoreRows(rows []Row, nextID int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.state.Load()
-	if _, dup := st.rows.Get(id); dup {
-		return fmt.Errorf("relstore: snapshot: duplicate id %d in %s", id, t.schema.Name)
-	}
 	ns := st.clone()
-	row["id"] = id
-	ns.rows = ns.rows.Set(id, row)
-	ns.indexRow(id, row)
+	ns.install(rows)
+	if ns.rows.Len() != st.rows.Len()+len(rows) {
+		seen := make(map[int64]bool, len(rows))
+		for _, r := range rows {
+			id := r.ID()
+			if _, taken := st.rows.Get(id); taken || seen[id] {
+				return fmt.Errorf("relstore: snapshot: duplicate id %d in %s", id, t.schema.Name)
+			}
+			seen[id] = true
+		}
+	}
+	ns.nextID = max(ns.nextID, nextID)
 	t.state.Store(ns)
 	return nil
-}
-
-// restoreNextID raises the id counter to at least n (snapshot replay only).
-func (t *Table) restoreNextID(n int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	if n <= st.nextID {
-		return
-	}
-	ns := st.clone()
-	ns.nextID = n
-	t.state.Store(ns)
 }
 
 // rowFromJSON converts the generic JSON decoding of a row back into the

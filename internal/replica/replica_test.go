@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"carcs/internal/core"
 	"carcs/internal/journal"
 	"carcs/internal/material"
+	"carcs/internal/ontology"
 	"carcs/internal/replica"
 	"carcs/internal/resilience"
 	"carcs/internal/server"
@@ -34,7 +37,12 @@ type leaderNode struct {
 
 func startLeader(t *testing.T) *leaderNode {
 	t.Helper()
-	sys, p, err := core.OpenDurable(t.TempDir(), core.DurableOptions{})
+	return startLeaderWith(t, core.DurableOptions{})
+}
+
+func startLeaderWith(t *testing.T, opts core.DurableOptions) *leaderNode {
+	t.Helper()
+	sys, p, err := core.OpenDurable(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,5 +534,58 @@ func waitRouterSeesReady(t *testing.T, routerURL string, want int) {
 			t.Fatalf("router never saw %d ready backends", want)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// canonMaterials lists a system's materials with each one's classifications
+// sorted by node: a checkpoint bootstrap rebuilds classifications in
+// entry-row order, so only the set and its Bloom levels are meaningful.
+func canonMaterials(s *core.System) []*material.Material {
+	ms := s.View().Materials("")
+	out := make([]*material.Material, len(ms))
+	for i, m := range ms {
+		c := m.Clone()
+		sort.Slice(c.Classifications, func(a, b int) bool {
+			return c.Classifications[a].NodeID < c.Classifications[b].NodeID
+		})
+		out[i] = c
+	}
+	return out
+}
+
+// TestFollowerBootstrapKeepsBloomLevels: a follower bootstrapped from the
+// leader's checkpoint must hold every material with the leader's Bloom
+// levels — the seeded ITCS 3145 ratings from the checkpoint and a rating
+// streamed afterwards — so depth audits read the same on either node.
+func TestFollowerBootstrapKeepsBloomLevels(t *testing.T) {
+	l := startLeaderWith(t, core.DurableOptions{Seed: true})
+	fn := startFollower(t, l.ts.URL)
+	arrays := "acm-ieee-cs-curricula-2013/sdf/fundamental-data-structures/arrays"
+	if err := l.sys.Reclassify(l.sys.Materials("nifty")[0].ID, []material.Classification{
+		{NodeID: arrays, Bloom: ontology.BloomApply},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fn.waitApplied(t, l.p.Seq())
+
+	want, got := canonMaterials(l.sys), canonMaterials(fn.f.System())
+	rated := 0
+	for _, m := range want {
+		for _, cl := range m.Classifications {
+			if cl.Bloom != ontology.BloomUnspecified {
+				rated++
+			}
+		}
+	}
+	if rated < 2 {
+		t.Fatalf("test setup: only %d rated classifications on the leader", rated)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("follower holds %d materials, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("follower material %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
 	}
 }

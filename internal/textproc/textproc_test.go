@@ -1,8 +1,10 @@
 package textproc
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -215,6 +217,27 @@ func TestCorpusSimilar(t *testing.T) {
 	self := Cosine(c.Vector("sort"), c.Vector("sort"))
 	if math.Abs(self-1) > 1e-12 {
 		t.Errorf("self cosine = %v", self)
+	}
+}
+
+// Every call must score the same query identically, down to the last bit:
+// restored and replicated nodes are compared on exact suggestion scores.
+func TestSimilarScoresRepeatExactly(t *testing.T) {
+	words := strings.Fields("parallel merge sort shared memory openmp threads stencil heat " +
+		"diffusion mpi message passing dense matrix multiplication tiling cache " +
+		"speedup amdahl lock mutex barrier reduction scan prefix graph search")
+	c := NewCorpus()
+	for i := range words {
+		// Document i holds words[0..i], so every term has its own IDF.
+		c.Add(fmt.Sprint(i), strings.Join(words[:i+1], " "))
+	}
+	c.Finalize()
+	q := c.Query(strings.Join(words, " ") + " " + strings.Join(words[:9], " "))
+	want := c.Similar(q, 0)
+	for i := 0; i < 200; i++ {
+		if got := c.Similar(q, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: Similar = %v, first call %v", i, got, want)
+		}
 	}
 }
 

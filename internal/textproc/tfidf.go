@@ -8,11 +8,18 @@ import (
 // Vector is a sparse term-weight vector.
 type Vector map[string]float64
 
-// Norm returns the Euclidean norm of the vector.
+// Norm returns the Euclidean norm of the vector. It sums in sorted term
+// order, so the same vector has bit-for-bit the same norm on every call;
+// map order would move the last bits of every score divided by it.
 func (v Vector) Norm() float64 {
+	terms := make([]string, 0, len(v))
+	for t := range v {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
 	var s float64
-	for _, w := range v {
-		s += w * w
+	for _, t := range terms {
+		s += v[t] * v[t]
 	}
 	return math.Sqrt(s)
 }
