@@ -93,7 +93,9 @@ func (b *Bayes) TrainTerms(m *material.Material, terms []string) {
 // termLists[i] must be the analyzed terms of ms[i]. Entries shared by many
 // materials in the batch — the common case for a themed import — keep one
 // open term-count builder across the whole batch, so their trie nodes are
-// copied once instead of once per material.
+// copied once instead of once per material. Each material's terms are
+// counted once, so every class's counts and the vocabulary move once per
+// distinct term rather than once per occurrence.
 func (b *Bayes) TrainTermsBatch(ms []*material.Material, termLists [][]string) {
 	vb := b.vocab.Builder()
 	db := b.docCount.Builder()
@@ -102,12 +104,16 @@ func (b *Bayes) TrainTermsBatch(ms []*material.Material, termLists [][]string) {
 	inner := make(map[string]*pmap.Builder[string, int])
 	for i, m := range ms {
 		terms := termLists[i]
-		trained := false
+		var counts map[string]int
+		classes := 0
 		for _, id := range m.ClassificationIDs() {
 			if !b.o.Has(id) {
 				continue
 			}
-			trained = true
+			classes++
+			if counts == nil {
+				counts = textproc.CountTerms(terms)
+			}
 			db.Set(id, db.GetOr(id, 0)+1)
 			tb := inner[id]
 			if tb == nil {
@@ -118,15 +124,18 @@ func (b *Bayes) TrainTermsBatch(ms []*material.Material, termLists [][]string) {
 				tb = tc.Builder()
 				inner[id] = tb
 			}
-			for _, t := range terms {
-				tb.Set(t, tb.GetOr(t, 0)+1)
-				vb.Set(t, vb.GetOr(t, 0)+1)
+			for t, c := range counts {
+				tb.Set(t, tb.GetOr(t, 0)+c)
 			}
 			ttb.Set(id, ttb.GetOr(id, 0)+len(terms))
 		}
-		if trained {
-			b.trained++
+		if classes == 0 {
+			continue
 		}
+		for t, c := range counts {
+			vb.Set(t, vb.GetOr(t, 0)+c*classes)
+		}
+		b.trained++
 	}
 	for id, tb := range inner {
 		tcb.Set(id, tb.Map())

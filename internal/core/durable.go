@@ -163,18 +163,19 @@ func OpenDurable(dir string, opts DurableOptions) (*System, *Persister, error) {
 		}
 		// Replay in chunks: each chunk applies under one mutation-lock hold
 		// per tenant run and publishes one view per run, and within a run
-		// each stretch of consecutive adds builds as one batch, so a long
-		// log costs O(records / replayChunk) view publishes and builder
-		// sessions on the common single-tenant stretches, not one per
-		// record. Records route to their stamped workspace; an unknown
-		// workspace is materialized on first sight (its tenant.create op
-		// travels the same stream).
-		chunk := make([]journal.Record, 0, replayChunk)
+		// each stretch of consecutive adds builds as one batch. A chunk is
+		// bounded by its records' payload bytes, not their count, so a
+		// typical add stretch builds in one builder session while the
+		// decoded chunk held in memory stays bounded. Records route to
+		// their stamped workspace; an unknown workspace is materialized on
+		// first sight (its tenant.create op travels the same stream).
+		var chunk []journal.Record
+		chunkBytes := 0
 		if _, err := st.Replay(func(rec journal.Record) error {
 			chunk = append(chunk, rec)
-			if len(chunk) >= replayChunk {
+			if chunkBytes += len(rec.Data); chunkBytes >= replayChunkBytes {
 				err := ApplyRecordsWorkspaces(ws, chunk)
-				chunk = chunk[:0]
+				chunk, chunkBytes = chunk[:0], 0
 				return err
 			}
 			return nil
@@ -326,10 +327,11 @@ func (p *Persister) installHooks(name string, sys *System) {
 	sys.queue.SetHook(workflow.Hook(one))
 }
 
-// replayChunk is how many journaled records recovery applies per mutation-
-// lock hold and per published view; it also caps how many adds one
-// stretch builds in a single batch.
-const replayChunk = 256
+// replayChunkBytes bounds the journaled payload bytes recovery applies per
+// mutation-lock hold and per published view; it also caps how much one add
+// stretch builds in a single batch. At ~1–2 KB per material.add, a 16 MiB
+// chunk covers the adds of any ordinary log in one builder session.
+const replayChunkBytes = 16 << 20
 
 // appendJournal is the durability gate every mutation passes through,
 // wrapped in the write-path circuit breaker. While the breaker is open,

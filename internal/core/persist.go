@@ -83,8 +83,8 @@ func materialFromRow(row relstore.Row) (*material.Material, map[string]ontology.
 	var levels map[string]ontology.Bloom
 	for _, e := range list("blooms") {
 		i := strings.LastIndexByte(e, '=')
-		level, ok := parseBloom(e[i+1:])
-		if i < 0 || !ok {
+		level, err := ontology.ParseBloom(e[i+1:])
+		if i < 0 || err != nil || level == ontology.BloomUnspecified {
 			return m, nil, fmt.Errorf("bad Bloom entry %q", e)
 		}
 		if levels == nil {
@@ -108,14 +108,4 @@ func bloomColumn(m *material.Material) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// parseBloom inverts ontology.Bloom's String for the rated levels.
-func parseBloom(name string) (ontology.Bloom, bool) {
-	for b := ontology.BloomKnow; b <= ontology.BloomApply; b++ {
-		if b.String() == name {
-			return b, true
-		}
-	}
-	return ontology.BloomUnspecified, false
 }

@@ -606,9 +606,10 @@ func (s *System) applyReclassifyLocked(prev, next *material.Material, rowID int6
 		s.links.Add(rowID, entryID)
 	}
 	s.forgetLocked(prev)
-	terms := textproc.Terms(next.SearchText())
-	s.engine.AddTerms(next, terms)
-	s.observeLocked(next, terms)
+	// Classifications are not part of the search text, so the text
+	// indexes stay as they are; only the stored pointer moves.
+	s.engine.Replace(next)
+	s.observeLocked(next, textproc.Terms(next.SearchText()))
 	return nil
 }
 

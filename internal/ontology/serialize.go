@@ -79,7 +79,7 @@ func (o *Ontology) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("node %q: %w", nj.ID, err)
 		}
-		bloom, err := parseBloom(nj.Bloom)
+		bloom, err := ParseBloom(nj.Bloom)
 		if err != nil {
 			return fmt.Errorf("node %q: %w", nj.ID, err)
 		}
@@ -139,7 +139,11 @@ func parseTier(s string) (Tier, error) {
 	return 0, fmt.Errorf("unknown tier %q", s)
 }
 
-func parseBloom(s string) (Bloom, error) {
+// ParseBloom inverts Bloom.String: it maps a level name ("know",
+// "comprehend", "apply", "unspecified") back to its Bloom, and the empty
+// string to BloomUnspecified. It is the one parser of level names; every
+// codec that stores levels as text decodes through it.
+func ParseBloom(s string) (Bloom, error) {
 	if s == "" {
 		return BloomUnspecified, nil
 	}

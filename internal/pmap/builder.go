@@ -68,7 +68,7 @@ func (b *Builder[K, V]) Set(k K, v V) {
 	if b.root == nil {
 		b.root = &node[K, V]{
 			bitmap: uint64(1) << (h & branchMask),
-			items:  []item[K, V]{{leaf: entry[K, V]{k, v}}},
+			items:  []item[K, V]{{leaf: entry[K, V]{key: k, val: v}}},
 			edit:   b.edit,
 		}
 		b.size = 1
@@ -95,12 +95,20 @@ func (b *Builder[K, V]) editable(n *node[K, V]) *node[K, V] {
 
 func (b *Builder[K, V]) set(n *node[K, V], h uint64, shift uint, k K, v V) (*node[K, V], bool) {
 	n = b.editable(n)
+	if n.collision() {
+		if i := n.find(k); i >= 0 {
+			n.items[i].leaf.val = v
+			return n, false
+		}
+		n.items = append(n.items, item[K, V]{leaf: entry[K, V]{key: k, val: v}})
+		return n, true
+	}
 	bit := uint64(1) << ((h >> shift) & branchMask)
 	pos := bits.OnesCount64(n.bitmap & (bit - 1))
 	if n.bitmap&bit == 0 {
 		n.items = append(n.items, item[K, V]{})
 		copy(n.items[pos+1:], n.items[pos:])
-		n.items[pos] = item[K, V]{leaf: entry[K, V]{k, v}}
+		n.items[pos] = item[K, V]{leaf: entry[K, V]{key: k, val: v}}
 		n.bitmap |= bit
 		return n, true
 	}
@@ -110,28 +118,11 @@ func (b *Builder[K, V]) set(n *node[K, V], h uint64, shift uint, k K, v V) (*nod
 		child, added := b.set(it.child, h, shift+branchBits, k, v)
 		it.child = child
 		return n, added
-	case it.bucket != nil:
-		// Collision buckets are rare and small; share the immutable
-		// copy-on-write path rather than tracking their ownership.
-		bucket := make([]entry[K, V], len(it.bucket), len(it.bucket)+1)
-		copy(bucket, it.bucket)
-		added := true
-		for i := range bucket {
-			if bucket[i].key == k {
-				bucket[i].val, added = v, false
-				break
-			}
-		}
-		if added {
-			bucket = append(bucket, entry[K, V]{k, v})
-		}
-		*it = item[K, V]{bucket: bucket}
-		return n, added
 	case it.leaf.key == k:
 		it.leaf.val = v
 		return n, false
 	default:
-		*it = split(b.hash, it.leaf, entry[K, V]{k, v}, h, shift+branchBits)
+		*it = split(b.hash, it.leaf, entry[K, V]{key: k, val: v}, h, shift+branchBits, b.edit)
 		return n, true
 	}
 }
@@ -149,6 +140,16 @@ func (b *Builder[K, V]) Delete(k K) {
 }
 
 func (b *Builder[K, V]) delete(n *node[K, V], h uint64, shift uint, k K) (*node[K, V], bool) {
+	if n.collision() {
+		i := n.find(k)
+		if i < 0 {
+			return n, false
+		}
+		n = b.editable(n)
+		copy(n.items[i:], n.items[i+1:])
+		n.items = n.items[:len(n.items)-1]
+		return n, true
+	}
 	bit := uint64(1) << ((h >> shift) & branchMask)
 	if n.bitmap&bit == 0 {
 		return n, false
@@ -165,25 +166,8 @@ func (b *Builder[K, V]) delete(n *node[K, V], h uint64, shift uint, k K) (*node[
 		if child == nil {
 			return b.without(n, bit, pos), true
 		}
-		n.items[pos] = item[K, V]{child: child}
+		n.items[pos] = slotFor(child)
 		return n, true
-	case it.bucket != nil:
-		for i := range it.bucket {
-			if it.bucket[i].key != k {
-				continue
-			}
-			n = b.editable(n)
-			if len(it.bucket) == 2 {
-				n.items[pos] = item[K, V]{leaf: it.bucket[1-i]}
-			} else {
-				bucket := make([]entry[K, V], 0, len(it.bucket)-1)
-				bucket = append(bucket, it.bucket[:i]...)
-				bucket = append(bucket, it.bucket[i+1:]...)
-				n.items[pos] = item[K, V]{bucket: bucket}
-			}
-			return n, true
-		}
-		return n, false
 	case it.leaf.key == k:
 		return b.without(b.editable(n), bit, pos), true
 	default:

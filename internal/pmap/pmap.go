@@ -16,7 +16,7 @@ const (
 	branchBits = 6
 	branchMask = (1 << branchBits) - 1
 	// maxShift is the deepest shift at which hash bits still discriminate;
-	// below it, equal-hash keys live in a collision bucket.
+	// below it, equal-hash keys live in a collision node.
 	maxShift = 60
 )
 
@@ -30,27 +30,47 @@ type Map[K comparable, V any] struct {
 	size int
 }
 
+// entry is one key/value pair. The value comes first so that a zero-size V
+// (the struct{} of a set) sits at offset 0 and adds no trailing padding:
+// an int64 set's entry is 8 bytes, not 16.
 type entry[K comparable, V any] struct {
-	key K
 	val V
+	key K
 }
 
-// item is one slot of a trie node: an interior branch (child != nil), a
-// collision bucket (bucket != nil, only below maxShift), or a leaf entry.
+// item is one slot of a trie node: an interior branch (child != nil) or a
+// leaf entry. Slots are the bulk of every node copy, so they carry nothing
+// else: 32 bytes for string→int, 16 for an int64 set.
 type item[K comparable, V any] struct {
-	child  *node[K, V]
-	bucket []entry[K, V]
-	leaf   entry[K, V]
+	child *node[K, V]
+	leaf  entry[K, V]
 }
 
 // node is an interior trie node: bitmap marks which of the 64 slots are
-// occupied, items holds the occupied slots in slot order. edit is nil for
-// nodes reachable from an immutable Map; a Builder tags nodes it allocated
-// with its ownership token so it can mutate them in place (see builder.go).
+// occupied, items holds the occupied slots in slot order. A node with
+// bitmap 0 is a collision node: it sits below maxShift, where hash bits are
+// exhausted, and its items are leaves of equal-hash keys in insertion
+// order. A collision node always holds at least two leaves; deleting down
+// to one collapses it back into its parent's slot. edit is nil for nodes
+// reachable from an immutable Map; a Builder tags nodes it allocated with
+// its ownership token so it can mutate them in place (see builder.go).
 type node[K comparable, V any] struct {
 	bitmap uint64
 	items  []item[K, V]
 	edit   *byte
+}
+
+// collision reports whether n is a collision node.
+func (n *node[K, V]) collision() bool { return n.bitmap == 0 }
+
+// find returns the index of k among a collision node's leaves, or -1.
+func (n *node[K, V]) find(k K) int {
+	for i := range n.items {
+		if n.items[i].leaf.key == k {
+			return i
+		}
+	}
+	return -1
 }
 
 // New creates an empty map using the given hash function.
@@ -103,27 +123,24 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 	h := m.hash(k)
 	n := m.root
 	for shift := uint(0); ; shift += branchBits {
+		if n.collision() {
+			if i := n.find(k); i >= 0 {
+				return n.items[i].leaf.val, true
+			}
+			return zero, false
+		}
 		bit := uint64(1) << ((h >> shift) & branchMask)
 		if n.bitmap&bit == 0 {
 			return zero, false
 		}
 		it := &n.items[bits.OnesCount64(n.bitmap&(bit-1))]
-		switch {
-		case it.child != nil:
-			n = it.child
-		case it.bucket != nil:
-			for i := range it.bucket {
-				if it.bucket[i].key == k {
-					return it.bucket[i].val, true
-				}
-			}
-			return zero, false
-		default:
+		if it.child == nil {
 			if it.leaf.key == k {
 				return it.leaf.val, true
 			}
 			return zero, false
 		}
+		n = it.child
 	}
 }
 
@@ -141,7 +158,7 @@ func (m *Map[K, V]) Set(k K, v V) *Map[K, V] {
 	if m.root == nil {
 		return &Map[K, V]{hash: m.hash, root: &node[K, V]{
 			bitmap: uint64(1) << (h & branchMask),
-			items:  []item[K, V]{{leaf: entry[K, V]{k, v}}},
+			items:  []item[K, V]{{leaf: entry[K, V]{key: k, val: v}}},
 		}, size: 1}
 	}
 	root, added := m.root.set(m.hash, h, 0, k, v)
@@ -153,13 +170,24 @@ func (m *Map[K, V]) Set(k K, v V) *Map[K, V] {
 }
 
 func (n *node[K, V]) set(hash func(K) uint64, h uint64, shift uint, k K, v V) (*node[K, V], bool) {
+	if n.collision() {
+		i := n.find(k)
+		items := make([]item[K, V], len(n.items), len(n.items)+1)
+		copy(items, n.items)
+		if i >= 0 {
+			items[i].leaf.val = v
+		} else {
+			items = append(items, item[K, V]{leaf: entry[K, V]{key: k, val: v}})
+		}
+		return &node[K, V]{items: items}, i < 0
+	}
 	bit := uint64(1) << ((h >> shift) & branchMask)
 	pos := bits.OnesCount64(n.bitmap & (bit - 1))
 	if n.bitmap&bit == 0 {
 		// Empty slot: insert a new leaf.
 		items := make([]item[K, V], len(n.items)+1)
 		copy(items, n.items[:pos])
-		items[pos] = item[K, V]{leaf: entry[K, V]{k, v}}
+		items[pos] = item[K, V]{leaf: entry[K, V]{key: k, val: v}}
 		copy(items[pos+1:], n.items[pos:])
 		return &node[K, V]{bitmap: n.bitmap | bit, items: items}, true
 	}
@@ -170,24 +198,10 @@ func (n *node[K, V]) set(hash func(K) uint64, h uint64, shift uint, k K, v V) (*
 	case it.child != nil:
 		child, a := it.child.set(hash, h, shift+branchBits, k, v)
 		repl, added = item[K, V]{child: child}, a
-	case it.bucket != nil:
-		bucket := make([]entry[K, V], len(it.bucket), len(it.bucket)+1)
-		copy(bucket, it.bucket)
-		added = true
-		for i := range bucket {
-			if bucket[i].key == k {
-				bucket[i].val, added = v, false
-				break
-			}
-		}
-		if added {
-			bucket = append(bucket, entry[K, V]{k, v})
-		}
-		repl = item[K, V]{bucket: bucket}
 	case it.leaf.key == k:
-		repl = item[K, V]{leaf: entry[K, V]{k, v}}
+		repl = item[K, V]{leaf: entry[K, V]{key: k, val: v}}
 	default:
-		repl = split(hash, it.leaf, entry[K, V]{k, v}, h, shift+branchBits)
+		repl = split(hash, it.leaf, entry[K, V]{key: k, val: v}, h, shift+branchBits, nil)
 		added = true
 	}
 	items := make([]item[K, V], len(n.items))
@@ -197,24 +211,35 @@ func (n *node[K, V]) set(hash func(K) uint64, h uint64, shift uint, k K, v V) (*
 }
 
 // split pushes an existing leaf and a new entry one level down, branching
-// where their hashes first differ (or into a collision bucket when the
-// hash bits are exhausted).
-func split[K comparable, V any](hash func(K) uint64, old, new entry[K, V], newHash uint64, shift uint) item[K, V] {
+// where their hashes first differ (or into a collision node when the hash
+// bits are exhausted). The new nodes carry the ownership tag edit: nil on
+// the immutable path, the caller's tag when a Builder splits, so its next
+// edit there mutates in place instead of copying.
+func split[K comparable, V any](hash func(K) uint64, old, new entry[K, V], newHash uint64, shift uint, edit *byte) item[K, V] {
 	if shift > maxShift {
-		return item[K, V]{bucket: []entry[K, V]{old, new}}
+		return item[K, V]{child: &node[K, V]{items: []item[K, V]{{leaf: old}, {leaf: new}}, edit: edit}}
 	}
 	oldHash := hash(old.key)
 	oldIdx := (oldHash >> shift) & branchMask
 	newIdx := (newHash >> shift) & branchMask
 	if oldIdx == newIdx {
-		inner := split(hash, old, new, newHash, shift+branchBits)
-		return item[K, V]{child: &node[K, V]{bitmap: uint64(1) << oldIdx, items: []item[K, V]{inner}}}
+		inner := split(hash, old, new, newHash, shift+branchBits, edit)
+		return item[K, V]{child: &node[K, V]{bitmap: uint64(1) << oldIdx, items: []item[K, V]{inner}, edit: edit}}
 	}
-	n := &node[K, V]{bitmap: uint64(1)<<oldIdx | uint64(1)<<newIdx}
+	n := &node[K, V]{bitmap: uint64(1)<<oldIdx | uint64(1)<<newIdx, edit: edit}
 	if oldIdx < newIdx {
 		n.items = []item[K, V]{{leaf: old}, {leaf: new}}
 	} else {
 		n.items = []item[K, V]{{leaf: new}, {leaf: old}}
+	}
+	return item[K, V]{child: n}
+}
+
+// slotFor returns the slot that replaces a branch whose child is now n:
+// a collision node left with one leaf collapses into that leaf.
+func slotFor[K comparable, V any](n *node[K, V]) item[K, V] {
+	if n.collision() && len(n.items) == 1 {
+		return n.items[0]
 	}
 	return item[K, V]{child: n}
 }
@@ -232,6 +257,16 @@ func (m *Map[K, V]) Delete(k K) *Map[K, V] {
 }
 
 func (n *node[K, V]) delete(h uint64, shift uint, k K) (*node[K, V], bool) {
+	if n.collision() {
+		i := n.find(k)
+		if i < 0 {
+			return n, false
+		}
+		items := make([]item[K, V], 0, len(n.items)-1)
+		items = append(items, n.items[:i]...)
+		items = append(items, n.items[i+1:]...)
+		return &node[K, V]{items: items}, true
+	}
 	bit := uint64(1) << ((h >> shift) & branchMask)
 	if n.bitmap&bit == 0 {
 		return n, false
@@ -244,31 +279,13 @@ func (n *node[K, V]) delete(h uint64, shift uint, k K) (*node[K, V], bool) {
 		if !removed {
 			return n, false
 		}
-		items := make([]item[K, V], len(n.items))
-		copy(items, n.items)
 		if child == nil {
 			return n.without(bit, pos), true
 		}
-		items[pos] = item[K, V]{child: child}
+		items := make([]item[K, V], len(n.items))
+		copy(items, n.items)
+		items[pos] = slotFor(child)
 		return &node[K, V]{bitmap: n.bitmap, items: items}, true
-	case it.bucket != nil:
-		for i := range it.bucket {
-			if it.bucket[i].key != k {
-				continue
-			}
-			items := make([]item[K, V], len(n.items))
-			copy(items, n.items)
-			if len(it.bucket) == 2 {
-				items[pos] = item[K, V]{leaf: it.bucket[1-i]}
-			} else {
-				bucket := make([]entry[K, V], 0, len(it.bucket)-1)
-				bucket = append(bucket, it.bucket[:i]...)
-				bucket = append(bucket, it.bucket[i+1:]...)
-				items[pos] = item[K, V]{bucket: bucket}
-			}
-			return &node[K, V]{bitmap: n.bitmap, items: items}, true
-		}
-		return n, false
 	case it.leaf.key == k:
 		return n.without(bit, pos), true
 	default:
@@ -300,21 +317,12 @@ func (m *Map[K, V]) Range(f func(K, V) bool) {
 func (n *node[K, V]) visit(f func(K, V) bool) bool {
 	for i := range n.items {
 		it := &n.items[i]
-		switch {
-		case it.child != nil:
+		if it.child != nil {
 			if !it.child.visit(f) {
 				return false
 			}
-		case it.bucket != nil:
-			for j := range it.bucket {
-				if !f(it.bucket[j].key, it.bucket[j].val) {
-					return false
-				}
-			}
-		default:
-			if !f(it.leaf.key, it.leaf.val) {
-				return false
-			}
+		} else if !f(it.leaf.key, it.leaf.val) {
+			return false
 		}
 	}
 	return true

@@ -124,10 +124,12 @@ func (l *LinkTable) Add(left, right int64) {
 	l.state.Store(&linkState{fwd: fwd, rev: rev, pairs: pairs})
 }
 
-// AddBatch links every (left, right) pair in one edit session — the outer
-// direction maps are edited through pmap.Builders, so each trie node is
-// copied at most once for the whole batch — and publishes a single new
-// state. Pairs already linked are skipped, matching Add's set semantics.
+// AddBatch links every (left, right) pair in one edit session and publishes
+// a single new state. The outer direction maps and every inner set the
+// batch touches are edited through pmap.Builders — one per direction map
+// and one per (direction, id) set, sealed once at the end — so each trie
+// node is copied at most once for the whole batch. Pairs already linked
+// are skipped, matching Add's set semantics.
 func (l *LinkTable) AddBatch(pairs [][2]int64) {
 	if len(pairs) == 0 {
 		return
@@ -135,29 +137,48 @@ func (l *LinkTable) AddBatch(pairs [][2]int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.state.Load()
-	fwdB := st.fwd.Builder()
-	revB := st.rev.Builder()
+	fwd := make(map[int64]*pmap.Builder[int64, struct{}])
+	rev := make(map[int64]*pmap.Builder[int64, struct{}])
 	added := 0
 	for _, p := range pairs {
 		left, right := p[0], p[1]
-		set := fwdB.GetOr(left, nil)
-		if set == nil {
-			set = pmap.NewInts[struct{}]()
-		} else if _, ok := set.Get(right); ok {
+		fb := setBuilder(fwd, st.fwd, left)
+		if _, ok := fb.Get(right); ok {
 			continue
 		}
-		fwdB.Set(left, set.Set(right, struct{}{}))
-		rset := revB.GetOr(right, nil)
-		if rset == nil {
-			rset = pmap.NewInts[struct{}]()
-		}
-		revB.Set(right, rset.Set(left, struct{}{}))
+		fb.Set(right, struct{}{})
+		setBuilder(rev, st.rev, right).Set(left, struct{}{})
 		added++
 	}
 	if added == 0 {
 		return
 	}
-	l.state.Store(&linkState{fwd: fwdB.Map(), rev: revB.Map(), pairs: st.pairs + added})
+	l.state.Store(&linkState{fwd: sealSets(st.fwd, fwd), rev: sealSets(st.rev, rev), pairs: st.pairs + added})
+}
+
+// setBuilder returns the open builder of from's set in one direction map,
+// opening it over the published set (or an empty one) on first use.
+func setBuilder(open map[int64]*pmap.Builder[int64, struct{}], m *pmap.Map[int64, *pmap.Map[int64, struct{}]], from int64) *pmap.Builder[int64, struct{}] {
+	b := open[from]
+	if b == nil {
+		set := m.GetOr(from, nil)
+		if set == nil {
+			set = pmap.NewInts[struct{}]()
+		}
+		b = set.Builder()
+		open[from] = b
+	}
+	return b
+}
+
+// sealSets stores every open set builder's sealed set into m through one
+// builder session.
+func sealSets(m *pmap.Map[int64, *pmap.Map[int64, struct{}]], open map[int64]*pmap.Builder[int64, struct{}]) *pmap.Map[int64, *pmap.Map[int64, struct{}]] {
+	b := m.Builder()
+	for from, sb := range open {
+		b.Set(from, sb.Map())
+	}
+	return b.Map()
 }
 
 // Remove unlinks the pair; removing a missing pair is a no-op.

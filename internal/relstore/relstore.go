@@ -401,17 +401,21 @@ func (t *Table) InsertBatch(rows []Row) ([]int64, error) {
 
 // install writes rows, each already carrying its id, into the state and
 // its indexes through one pmap.Builder session per container, so each trie
-// node is copied at most once for the whole batch. The receiver must be a
-// freshly cloned, not-yet-published state.
+// node is copied at most once for the whole batch. Every secondary-index
+// posting set the batch touches gets its own builder too, open for the
+// whole session and sealed once at the end, instead of one path-copying
+// Set per row. The receiver must be a freshly cloned, not-yet-published
+// state.
 func (st *tableState) install(rows []Row) {
 	rowsB := st.rows.Builder()
 	uniqueBs := make(map[string]*pmap.Builder[string, int64], len(st.uniques))
 	for col, idx := range st.uniques {
 		uniqueBs[col] = idx.Builder()
 	}
-	indexBs := make(map[string]*pmap.Builder[string, *pmap.Map[int64, struct{}]], len(st.indexes))
-	for col, idx := range st.indexes {
-		indexBs[col] = idx.Builder()
+	// postings[col][key] is the open builder of one posting set.
+	postings := make(map[string]map[string]*pmap.Builder[int64, struct{}], len(st.indexes))
+	for col := range st.indexes {
+		postings[col] = make(map[string]*pmap.Builder[int64, struct{}])
 	}
 	for _, row := range rows {
 		id := row.ID()
@@ -423,14 +427,19 @@ func (st *tableState) install(rows []Row) {
 				}
 			}
 		}
-		for col, ib := range indexBs {
+		for col, sets := range postings {
 			if v, ok := row[col]; ok && v != nil {
 				if k, ok := encodeKey(v); ok {
-					set := ib.GetOr(k, nil)
-					if set == nil {
-						set = pmap.NewInts[struct{}]()
+					sb := sets[k]
+					if sb == nil {
+						set := st.indexes[col].GetOr(k, nil)
+						if set == nil {
+							set = pmap.NewInts[struct{}]()
+						}
+						sb = set.Builder()
+						sets[k] = sb
 					}
-					ib.Set(k, set.Set(id, struct{}{}))
+					sb.Set(id, struct{}{})
 				}
 			}
 		}
@@ -439,7 +448,14 @@ func (st *tableState) install(rows []Row) {
 	for col, ub := range uniqueBs {
 		st.uniques[col] = ub.Map()
 	}
-	for col, ib := range indexBs {
+	for col, sets := range postings {
+		if len(sets) == 0 {
+			continue
+		}
+		ib := st.indexes[col].Builder()
+		for k, sb := range sets {
+			ib.Set(k, sb.Map())
+		}
 		st.indexes[col] = ib.Map()
 	}
 }

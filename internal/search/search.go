@@ -68,25 +68,55 @@ func (e *Engine) Add(m *material.Material) {
 // analyzed: the engine maintains three term-keyed structures over the same
 // text, and the commit pipeline's incremental models tokenize it too, so
 // analyzing once per commit and sharing the term list saves four
-// re-tokenizations per material.
+// re-tokenizations per material. Re-adding an id first un-indexes and
+// un-trains the stored version's terms.
 func (e *Engine) AddTerms(m *material.Material, terms []string) {
-	if _, exists := e.byID.Get(m.ID); exists {
-		next := make([]*material.Material, len(e.mats))
-		copy(next, e.mats)
-		for i, old := range next {
-			if old.ID == m.ID {
-				next[i] = m
-				break
-			}
-		}
-		e.mats = next
+	if old, exists := e.byID.Get(m.ID); exists {
+		e.unindex(old)
+		e.swap(m)
 	} else {
 		e.mats = append(e.mats, m)
+		e.byID = e.byID.Set(m.ID, m)
 	}
-	e.byID = e.byID.Set(m.ID, m)
 	e.index.AddTerms(m.ID, terms)
 	e.positional.AddTerms(m.ID, terms)
 	e.speller.TrainTerms(terms)
+}
+
+// Replace swaps the stored material with m's id for m without touching the
+// text indexes or the speller. It is the reclassify path: the search text
+// (title, description, language, tags, datasets) excludes classifications,
+// so a material whose classifications alone changed indexes exactly as
+// before. m must carry the stored version's search text; an unknown id is
+// a no-op.
+func (e *Engine) Replace(m *material.Material) {
+	if _, exists := e.byID.Get(m.ID); exists {
+		e.swap(m)
+	}
+}
+
+// swap replaces the stored material with m's id by m, copying mats so
+// snapshots taken earlier keep the previous version.
+func (e *Engine) swap(m *material.Material) {
+	next := make([]*material.Material, len(e.mats))
+	copy(next, e.mats)
+	for i, old := range next {
+		if old.ID == m.ID {
+			next[i] = m
+			break
+		}
+	}
+	e.mats = next
+	e.byID = e.byID.Set(m.ID, m)
+}
+
+// unindex drops a stored material's terms from the text indexes and the
+// speller, touching only its own postings.
+func (e *Engine) unindex(m *material.Material) {
+	terms := textproc.Terms(m.SearchText())
+	e.index.RemoveTerms(m.ID, terms)
+	e.positional.RemoveTerms(m.ID, terms)
+	e.speller.ForgetTerms(terms)
 }
 
 // AddTermsBatch indexes a batch of materials with one builder session per
@@ -118,14 +148,15 @@ func (e *Engine) AddTermsBatch(ms []*material.Material, termLists [][]string) {
 	e.speller.TrainTermsBatch(termLists)
 }
 
-// Remove drops a material from the engine.
+// Remove drops a material from the engine: its postings, its speller
+// training and its stored pointer.
 func (e *Engine) Remove(id string) {
-	if _, exists := e.byID.Get(id); !exists {
+	m, exists := e.byID.Get(id)
+	if !exists {
 		return
 	}
+	e.unindex(m)
 	e.byID = e.byID.Delete(id)
-	e.index.Remove(id)
-	e.positional.Remove(id)
 	next := make([]*material.Material, 0, len(e.mats)-1)
 	for _, m := range e.mats {
 		if m.ID != id {
@@ -304,6 +335,10 @@ func (e *Engine) TextCorrected(query string, k int, filters ...Filter) ([]Hit, s
 	}
 	return e.Text(fixed, k, filters...), fixed
 }
+
+// Known reports whether the word's analyzed form is in the vocabulary the
+// "did you mean" corrections draw on.
+func (e *Engine) Known(word string) bool { return e.speller.Known(word) }
 
 // PDCCoverage reports whether the material covers any PDC content: a PDC12
 // classification or a CS13 classification inside the PD area.

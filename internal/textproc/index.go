@@ -111,25 +111,56 @@ func (ix *Index) AddTermsBatch(ids []string, termLists [][]string) {
 	seal()
 }
 
-// Remove deletes a document from the index; unknown ids are a no-op.
-func (ix *Index) Remove(id string) {
+// Remove deletes a document from the index; unknown ids are a no-op. It
+// walks the whole vocabulary to find the document's terms; a caller that
+// still has them should use RemoveTerms.
+func (ix *Index) Remove(id string) { ix.RemoveTerms(id, docTerms(ix.postings, id)) }
+
+// RemoveTerms deletes a document whose analyzed terms are known, touching
+// only those terms' postings: O(document terms), not O(vocabulary). terms
+// must be the terms the document was indexed with (in any order, repeats
+// allowed); unknown ids are a no-op.
+func (ix *Index) RemoveTerms(id string, terms []string) {
 	if _, ok := ix.lengths.Get(id); !ok {
 		return
 	}
 	ix.lengths = ix.lengths.Delete(id)
 	ix.n--
-	b := ix.postings.Builder()
-	ix.postings.Range(func(t string, inner *pmap.Map[string, int]) bool {
+	ix.postings = dropPostings(ix.postings, id, terms)
+}
+
+// docTerms lists the terms whose postings hold id, walking the whole
+// vocabulary.
+func docTerms[P any](postings *pmap.Map[string, *pmap.Map[string, P]], id string) []string {
+	var terms []string
+	postings.Range(func(t string, inner *pmap.Map[string, P]) bool {
 		if _, ok := inner.Get(id); ok {
-			if next := inner.Delete(id); next.Len() == 0 {
-				b.Delete(t)
-			} else {
-				b.Set(t, next)
-			}
+			terms = append(terms, t)
 		}
 		return true
 	})
-	ix.postings = b.Map()
+	return terms
+}
+
+// dropPostings removes id from each term's posting map, dropping terms left
+// with no document, through one builder session.
+func dropPostings[P any](postings *pmap.Map[string, *pmap.Map[string, P]], id string, terms []string) *pmap.Map[string, *pmap.Map[string, P]] {
+	b := postings.Builder()
+	for _, t := range terms {
+		inner := b.GetOr(t, nil)
+		if inner == nil {
+			continue
+		}
+		if _, ok := inner.Get(id); !ok {
+			continue
+		}
+		if next := inner.Delete(id); next.Len() == 0 {
+			b.Delete(t)
+		} else {
+			b.Set(t, next)
+		}
+	}
+	return b.Map()
 }
 
 // Len returns the number of indexed documents.

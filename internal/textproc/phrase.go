@@ -102,24 +102,18 @@ func (ix *PositionalIndex) AddTermsBatch(ids []string, termLists [][]string) {
 	seal()
 }
 
-// Remove drops a document.
-func (ix *PositionalIndex) Remove(id string) {
+// Remove drops a document, walking the whole vocabulary; see
+// Index.Remove.
+func (ix *PositionalIndex) Remove(id string) { ix.RemoveTerms(id, docTerms(ix.postings, id)) }
+
+// RemoveTerms drops a document whose analyzed terms are known, in
+// O(document terms); see Index.RemoveTerms.
+func (ix *PositionalIndex) RemoveTerms(id string, terms []string) {
 	if _, ok := ix.docs.Get(id); !ok {
 		return
 	}
 	ix.docs = ix.docs.Delete(id)
-	b := ix.postings.Builder()
-	ix.postings.Range(func(t string, inner *pmap.Map[string, []int]) bool {
-		if _, ok := inner.Get(id); ok {
-			if next := inner.Delete(id); next.Len() == 0 {
-				b.Delete(t)
-			} else {
-				b.Set(t, next)
-			}
-		}
-		return true
-	})
-	ix.postings = b.Map()
+	ix.postings = dropPostings(ix.postings, id, terms)
 }
 
 // Len returns the number of indexed documents.

@@ -51,12 +51,12 @@ func (s *Speller) TrainTermsBatch(termLists [][]string) {
 	s.freq = b.Map()
 }
 
-// Forget removes one training occurrence of each analyzed term of the text,
-// dropping terms whose count reaches zero. Passing exactly the text that
-// was trained undoes that training.
-func (s *Speller) Forget(text string) {
+// ForgetTerms removes one training occurrence of each analyzed term,
+// dropping terms whose count reaches zero. Passing exactly the terms that
+// were trained undoes that training.
+func (s *Speller) ForgetTerms(terms []string) {
 	b := s.freq.Builder()
-	for _, t := range Terms(text) {
+	for _, t := range terms {
 		switch f := b.GetOr(t, 0); {
 		case f > 1:
 			b.Set(t, f-1)

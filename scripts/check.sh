@@ -20,6 +20,9 @@ go build ./...
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+echo "== fuzz pmap (10s) =="
+go test -run '^$' -fuzz '^FuzzMapOps$' -fuzztime 10s ./internal/pmap
+
 # bench/ is its own Go module: the root ./... never compiles it.
 echo "== bench module vet + test =="
 (cd bench && go vet ./... && go test ./...)
