@@ -20,7 +20,6 @@ import (
 	"carcs/internal/ingest"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
-	"carcs/internal/relstore"
 	"carcs/internal/replica"
 	"carcs/internal/search"
 	"carcs/internal/server"
@@ -319,32 +318,12 @@ func BenchmarkCurationCostModel(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E12 — scalability: store, search, coverage, similarity, server at 10k
+// E12 — scalability: search, coverage, similarity, server at 10k
 // synthetic materials ("a scalable, central place of interaction").
 // ---------------------------------------------------------------------------
 
 func syntheticMaterials(n int) []*material.Material {
 	return corpus.Synthetic(corpus.SyntheticOptions{N: n, Seed: 1}).All()
-}
-
-func BenchmarkStoreScaleInsert(b *testing.B) {
-	mats := syntheticMaterials(1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := relstore.NewStore()
-		tbl, err := s.CreateTable(relstore.Schema{Name: "m", Columns: []relstore.Column{
-			{Name: "slug", Type: relstore.String, Unique: true},
-			{Name: "kind", Type: relstore.String, Indexed: true},
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range mats {
-			if _, err := tbl.Insert(relstore.Row{"slug": m.ID, "kind": string(m.Kind)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 }
 
 func BenchmarkSearchScale10k(b *testing.B) {

@@ -159,8 +159,11 @@ func (b *Bayes) ObserveTerms(m *material.Material, terms []string) { b.TrainTerm
 // model current instead of retraining from scratch. Forgetting a material
 // that was never trained (or whose text changed since) corrupts the counts;
 // callers must pass the same material value they trained.
-func (b *Bayes) Forget(m *material.Material) {
-	terms := textproc.Terms(m.SearchText())
+func (b *Bayes) Forget(m *material.Material) { b.ForgetTerms(m, textproc.Terms(m.SearchText())) }
+
+// ForgetTerms is Forget with pre-analyzed terms: terms must be the analyzed
+// search text of m, the list TrainTerms was given.
+func (b *Bayes) ForgetTerms(m *material.Material, terms []string) {
 	forgot := false
 	vb := b.vocab.Builder()
 	for _, id := range m.ClassificationIDs() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"carcs/internal/material"
-	"carcs/internal/relstore"
 	"carcs/internal/textproc"
 )
 
@@ -28,17 +27,17 @@ func (e *BatchItemError) Unwrap() error { return e.Err }
 
 // AddMaterials validates and stores a batch of materials as one commit:
 // every operation is journaled in a single durability round trip (one fsync
-// when the batch mutation hook is installed), the rows land through one
-// relstore edit session, the incremental models fold all N observations, and
-// a single generation bump + view publish covers the whole batch — the
+// when the batch mutation hook is installed), the search index and the
+// incremental models fold all N materials through one builder session each,
+// and a single generation bump + view publish covers the whole batch — the
 // amortization BENCH_2 showed the per-record pipeline paying for dearly.
 //
 // The batch is all-or-nothing: any invalid or duplicate item (against the
 // stored corpus or within the batch) rejects the whole call with a
 // *BatchItemError naming the offender, before anything is journaled.
-// Equivalence with N sequential AddMaterial calls is exact — same row ids,
-// same model state, same Snapshot bytes — because items apply in slice
-// order. An empty batch is a no-op.
+// Equivalence with N sequential AddMaterial calls is exact — same model
+// state, same Snapshot bytes — because items apply in slice order. An empty
+// batch is a no-op.
 func (s *System) AddMaterials(ms []*material.Material) error {
 	if len(ms) == 0 {
 		return nil
@@ -60,7 +59,7 @@ func (s *System) AddMaterials(ms []*material.Material) error {
 			return &BatchItemError{Index: i, ID: m.ID, Err: fmt.Errorf("duplicate of batch item %d", prev)}
 		}
 		inBatch[m.ID] = i
-		if _, taken := s.materials.UniqueID("slug", m.ID); taken {
+		if s.engine.Get(m.ID) != nil {
 			return &BatchItemError{Index: i, ID: m.ID, Err: fmt.Errorf("duplicate material")}
 		}
 	}
@@ -74,66 +73,18 @@ func (s *System) AddMaterials(ms []*material.Material) error {
 	if err := s.batchHookLocked(ops); err != nil {
 		return fmt.Errorf("core: add batch of %d: %w", len(clones), err)
 	}
-	if err := s.applyAddBatchLocked(clones); err != nil {
-		return err
-	}
+	s.applyAddBatchLocked(clones)
 	s.publishLocked()
 	return nil
 }
 
 // applyAddBatchLocked commits already-validated, already-journaled materials
-// to the live containers without publishing: one InsertBatch edit session
-// for the rows, one AddBatch for the classification links, and per-material
-// search/model folds in slice order (the engines are incremental and
-// order-defined). Callers hold mu and publish once afterwards.
-func (s *System) applyAddBatchLocked(ms []*material.Material) error {
-	rows := make([]relstore.Row, len(ms))
-	for i, m := range ms {
-		rows[i] = materialRow(m)
-	}
-	ids, err := s.materials.InsertBatch(rows)
-	if err != nil {
-		return fmt.Errorf("core: add batch of %d: %w", len(ms), err)
-	}
-	// Resolve classification entries to row ids in two passes: look up the
-	// known ones, then insert all the missing ones through one edit session.
-	entryIDs := make(map[string]int64)
-	var missing []relstore.Row
-	for _, m := range ms {
-		for _, cl := range m.Classifications {
-			if _, ok := entryIDs[cl.NodeID]; ok {
-				continue
-			}
-			if id, ok := s.entries.UniqueID("node", cl.NodeID); ok {
-				entryIDs[cl.NodeID] = id
-				continue
-			}
-			entryIDs[cl.NodeID] = -1 // placeholder: inserted below
-			missing = append(missing, relstore.Row{
-				"node":  cl.NodeID,
-				"bloom": cl.Bloom.String(),
-			})
-		}
-	}
-	if len(missing) > 0 {
-		newIDs, err := s.entries.InsertBatch(missing)
-		if err != nil {
-			return fmt.Errorf("core: add batch of %d: %w", len(ms), err)
-		}
-		for i, r := range missing {
-			entryIDs[r["node"].(string)] = newIDs[i]
-		}
-	}
-	var pairs [][2]int64
-	for i, m := range ms {
-		for _, cl := range m.Classifications {
-			pairs = append(pairs, [2]int64{ids[i], entryIDs[cl.NodeID]})
-		}
-	}
-	s.links.AddBatch(pairs)
-	// Analyze each text once, then fold the whole batch into every
-	// term-keyed structure through one builder session each — the same
-	// state N sequential folds produce, at a fraction of the node copying.
+// to the live containers without publishing: each text is analyzed once,
+// then the whole batch folds into every term-keyed structure through one
+// builder session each — the same state N sequential folds produce, at a
+// fraction of the node copying. Callers hold mu and publish once
+// afterwards.
+func (s *System) applyAddBatchLocked(ms []*material.Material) {
 	termLists := make([][]string, len(ms))
 	for i, m := range ms {
 		termLists[i] = textproc.Terms(m.SearchText())
@@ -143,5 +94,4 @@ func (s *System) applyAddBatchLocked(ms []*material.Material) error {
 		b.TrainTermsBatch(ms, termLists)
 	}
 	s.cooccur.ObserveBatch(ms)
-	return nil
 }

@@ -59,10 +59,10 @@ type reclassifyPayload struct {
 	Classifications []material.Classification `json:"classifications"`
 }
 
-// checkpointDoc is the payload of a durability checkpoint: the relational
-// snapshot plus the workflow queue and the learned-model state, which the
-// relational store does not cover. Learn is omitted when empty, so
-// checkpoints from builds predating the learned classifier still load.
+// checkpointDoc is the payload of a durability checkpoint: the materials in
+// their relational form (see persist.go) plus the workflow queue and the
+// learned-model state. Learn is omitted when empty, so checkpoints from
+// builds predating the learned classifier still load.
 //
 // The top-level Store/Workflow/Learn triple is the default tenant — exactly
 // the whole document before workspaces existed, so pre-tenancy checkpoints
@@ -505,15 +505,7 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 		err     error
 		applied int
 		adds    addStretch
-		from    uint64 // seq of the pending stretch's first add
 	)
-	flush := func() error {
-		n := len(adds.ms)
-		if err := adds.flush(s); err != nil {
-			return fmt.Errorf("core: apply seq %d (%d-record %s stretch): %w", from, n, OpAddMaterial, err)
-		}
-		return nil
-	}
 	for _, rec := range recs {
 		if fence := w.epoch.Load(); rec.Epoch < fence {
 			err = fmt.Errorf("core: apply seq %d (%s): %w: epoch %d below fence %d",
@@ -522,11 +514,7 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 		}
 		w.FenceEpoch(rec.Epoch)
 		if rec.Op != OpAddMaterial {
-			if err = flush(); err != nil {
-				break
-			}
-		} else if len(adds.ms) == 0 {
-			from = rec.Seq
+			adds.flush(s)
 		}
 		if err = applyOpLocked(s, rec, &adds); err != nil {
 			err = fmt.Errorf("core: apply seq %d (%s): %w", rec.Seq, rec.Op, err)
@@ -534,9 +522,7 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 		}
 		applied++
 	}
-	if ferr := flush(); err == nil {
-		err = ferr
-	}
+	adds.flush(s)
 	if applied > 0 {
 		s.publishLocked()
 	}
@@ -545,7 +531,7 @@ func (w *Workspaces) applyRun(s *System, recs []journal.Record) error {
 
 // addStretch gathers consecutive replayed material.add records so they
 // build through one applyAddBatchLocked — one builder session per container
-// — instead of one insert each.
+// — instead of one fold each.
 type addStretch struct {
 	ms []*material.Material
 	// ids holds the stretch's material ids; created when a stretch starts.
@@ -574,13 +560,11 @@ func (a *addStretch) add(s *System, m *material.Material) error {
 
 // flush builds the queued materials, without publishing, and empties the
 // stretch. Callers hold mu.
-func (a *addStretch) flush(s *System) error {
-	if len(a.ms) == 0 {
-		return nil
+func (a *addStretch) flush(s *System) {
+	if len(a.ms) > 0 {
+		s.applyAddBatchLocked(a.ms)
+		*a = addStretch{}
 	}
-	err := s.applyAddBatchLocked(a.ms)
-	*a = addStretch{}
-	return err
 }
 
 // applyOpLocked applies one journaled mutation with the mutation lock held
@@ -673,8 +657,9 @@ func applyOpLocked(s *System, rec journal.Record, adds *addStretch) error {
 }
 
 // Checkpoint atomically snapshots the full state of every workspace
-// (relational store + workflow queue + learned models) and resets the
-// write-ahead log. Mutations are frozen for the duration: the lock order
+// (materials in their relational form + workflow queue + learned models)
+// and resets the write-ahead log, writing every workspace through one
+// loop. Mutations are frozen for the duration: the lock order
 // workspaces → system → queue → journal matches the hooks' (system →
 // journal, queue → journal) and workspace creation's (workspaces →
 // journal), so checkpointing can never deadlock against a mutation, and no
@@ -700,42 +685,31 @@ func (p *Persister) Checkpoint() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	learnStates := make([]*learn.State, len(systems))
-	for i, s := range systems {
-		ls := s.learnStateLocked()
-		if len(ls.Models) == 0 {
-			ls = nil
-		}
-		learnStates[i] = ls
-	}
-	qstates := make([]workflow.QueueState, len(systems))
+	docs := make([]tenantDoc, len(systems))
 	var freeze func(i int) error
 	freeze = func(i int) error {
 		if i < len(systems) {
 			return systems[i].queue.Freeze(func(qs workflow.QueueState) error {
-				qstates[i] = qs
+				docs[i].Workflow = qs
 				return freeze(i + 1)
 			})
 		}
 		return p.st.WriteCheckpoint(func(w io.Writer) error {
-			doc := checkpointDoc{Workflow: qstates[0], Learn: learnStates[0]}
-			var buf bytes.Buffer
-			if err := systems[0].store.Snapshot(&buf); err != nil {
-				return err
+			for i, s := range systems {
+				var buf bytes.Buffer
+				if err := s.View().Snapshot(&buf); err != nil {
+					return err
+				}
+				docs[i].Store = buf.Bytes()
+				if ls := s.learnStateLocked(); len(ls.Models) > 0 {
+					docs[i].Learn = ls
+				}
 			}
-			doc.Store = buf.Bytes()
+			doc := checkpointDoc{Store: docs[0].Store, Workflow: docs[0].Workflow, Learn: docs[0].Learn}
 			if len(names) > 0 {
 				doc.Tenants = make(map[string]tenantDoc, len(names))
 				for i, n := range names {
-					var tbuf bytes.Buffer
-					if err := systems[i+1].store.Snapshot(&tbuf); err != nil {
-						return err
-					}
-					doc.Tenants[n] = tenantDoc{
-						Store:    tbuf.Bytes(),
-						Workflow: qstates[i+1],
-						Learn:    learnStates[i+1],
-					}
+					doc.Tenants[n] = docs[i+1]
 				}
 			}
 			return json.NewEncoder(w).Encode(doc)

@@ -11,7 +11,6 @@ import (
 	"carcs/internal/corpus"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
-	"carcs/internal/relstore"
 )
 
 // canonMaterials returns the system's materials as its view lists them,
@@ -59,12 +58,10 @@ func ratedCount(ms []*material.Material) int {
 }
 
 func TestRestoreMissingTables(t *testing.T) {
-	// A valid relstore snapshot that simply isn't a CAR-CS database.
-	var buf bytes.Buffer
-	if err := relstore.NewStore().Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(&buf); err == nil || !strings.Contains(err.Error(), "missing CAR-CS tables") {
+	// A well-formed store snapshot that simply isn't a CAR-CS database:
+	// what an empty relational store has always written.
+	buf := strings.NewReader(`{"tables":null,"links":null}` + "\n")
+	if _, err := Restore(buf); err == nil || !strings.Contains(err.Error(), "missing CAR-CS tables") {
 		t.Fatalf("restore of empty store = %v, want missing-tables error", err)
 	}
 }
@@ -344,7 +341,7 @@ func TestRestoreMatchesSequentialAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := relstore.Restore(bytes.NewReader(buf.Bytes()))
+	decoded, err := decodeStore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,16 +350,7 @@ func TestRestoreMatchesSequentialAdds(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := want.Generation()
-	et, lk := store.Table("entries"), store.Link("material_classifications")
-	for _, row := range store.Table("materials").Select(relstore.Query{}) {
-		m, levels, err := materialFromRow(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range lk.Rights(row.ID()) {
-			node := et.Get(e)["node"].(string)
-			m.Classifications = append(m.Classifications, material.Classification{NodeID: node, Bloom: levels[node]})
-		}
+	for _, m := range decoded {
 		if err := want.AddMaterial(m); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,7 @@
 // Package core is the CAR-CS system: a single facade wiring the curriculum
-// ontologies, the relational store, the search engine, the classification
-// suggesters, the coverage and similarity analyses, and the curation
-// workflow into the API the paper's prototype exposes through its web
-// service.
+// ontologies, the search engine, the classification suggesters, the
+// coverage and similarity analyses, and the curation workflow into the API
+// the paper's prototype exposes through its web service.
 //
 // The system is split into two halves. The commit pipeline — AddMaterial,
 // RemoveMaterial, Reclassify — serializes mutations under a single mutex:
@@ -11,13 +10,14 @@
 // obtained from System.View() — is a frozen snapshot of every container
 // pinned at one generation; reads on it take no locks and never observe a
 // concurrent commit. Containers use persistent (copy-on-write) structures,
-// so publishing a view costs O(changed rows), not a copy of the data.
+// so publishing a view costs O(changed materials), not a copy of the data.
+// Each material is held once, by the search engine; checkpoints write the
+// paper's relational form from a View (see persist.go).
 package core
 
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,7 +29,6 @@ import (
 	"carcs/internal/learn"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
-	"carcs/internal/relstore"
 	"carcs/internal/search"
 	"carcs/internal/similarity"
 	"carcs/internal/textproc"
@@ -53,11 +52,8 @@ type System struct {
 	cs13  *ontology.Ontology
 	pdc12 *ontology.Ontology
 
-	store     *relstore.Store
-	materials *relstore.Table
-	entries   *relstore.Table
-	links     *relstore.LinkTable
-
+	// engine holds every stored material, in insertion order, with its
+	// text indexes.
 	engine *search.Engine
 	queue  *workflow.Queue
 
@@ -197,47 +193,8 @@ func New() (*System, error) {
 	s := &System{
 		cs13:   ontology.CS13(),
 		pdc12:  ontology.PDC12(),
-		store:  relstore.NewStore(),
 		queue:  workflow.NewQueue(),
 		engine: search.NewEngine(ontology.CS13(), ontology.PDC12()),
-	}
-	var err error
-	s.materials, err = s.store.CreateTable(relstore.Schema{
-		Name: "materials",
-		Columns: []relstore.Column{
-			{Name: "slug", Type: relstore.String, Unique: true},
-			{Name: "title", Type: relstore.String},
-			{Name: "kind", Type: relstore.String, Indexed: true},
-			{Name: "level", Type: relstore.String, Indexed: true},
-			{Name: "language", Type: relstore.String, Indexed: true},
-			{Name: "collection", Type: relstore.String, Indexed: true},
-			{Name: "url", Type: relstore.String},
-			{Name: "description", Type: relstore.String},
-			{Name: "year", Type: relstore.Int, Indexed: true},
-			{Name: "authors", Type: relstore.StringList},
-			{Name: "datasets", Type: relstore.StringList},
-			{Name: "tags", Type: relstore.StringList},
-			// blooms holds the Bloom levels of a material's rated
-			// classifications (see bloomColumn); absent when none is rated.
-			{Name: "blooms", Type: relstore.StringList},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.entries, err = s.store.CreateTable(relstore.Schema{
-		Name: "entries",
-		Columns: []relstore.Column{
-			{Name: "node", Type: relstore.String, Unique: true},
-			{Name: "bloom", Type: relstore.String},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.links, err = s.store.CreateLink("material_classifications", "materials", "entries")
-	if err != nil {
-		return nil, err
 	}
 	// The training-free suggesters are immutable once built and the
 	// ontologies are process-wide singletons, so every System shares one
@@ -289,7 +246,6 @@ func (s *System) buildViewLocked(gen uint64) *View {
 		sys:     s,
 		gen:     gen,
 		eng:     s.engine.Snap(),
-		store:   s.store.Snap(),
 		bayes:   bayes,
 		learned: learned,
 		cooccur: s.cooccur.Snap(),
@@ -339,10 +295,11 @@ func (s *System) observeLocked(m *material.Material, terms []string) {
 }
 
 // forgetLocked removes a previously committed material from the maintained
-// models. Callers hold mu and must pass the exact stored value.
-func (s *System) forgetLocked(m *material.Material) {
+// models. Callers hold mu and must pass the exact stored value and its
+// analyzed search terms.
+func (s *System) forgetLocked(m *material.Material, terms []string) {
 	for _, b := range s.bayes {
-		b.Forget(m)
+		b.ForgetTerms(m, terms)
 	}
 	s.cooccur.Forget(m)
 }
@@ -380,16 +337,11 @@ func (s *System) OntologyByName(name string) *ontology.Ontology {
 // Workflow returns the curation queue.
 func (s *System) Workflow() *workflow.Queue { return s.queue }
 
-// Store exposes the underlying live relational store (read-mostly;
-// mutations should go through the System so the search index stays
-// consistent). Readers that need a stable picture should use View().Store.
-func (s *System) Store() *relstore.Store { return s.store }
-
 // AddMaterial validates and stores a material, indexes it for search,
-// records its classification links, and publishes a new view. Duplicate IDs
-// are rejected. The system stores a deep copy, so later edits to the
-// argument (or through other systems sharing the same seed corpus) never
-// leak in.
+// folds it into the incremental models, and publishes a new view.
+// Duplicate IDs are rejected. The system stores a deep copy, so later edits
+// to the argument (or through other systems sharing the same seed corpus)
+// never leak in.
 func (s *System) AddMaterial(m *material.Material) error {
 	m, err := s.validated(m)
 	if err != nil {
@@ -406,82 +358,35 @@ func (s *System) AddMaterial(m *material.Material) error {
 	if err := s.hookLocked(OpAddMaterial, addMaterialPayload{Material: m}); err != nil {
 		return fmt.Errorf("core: add %q: %w", m.ID, err)
 	}
-	if err := s.applyAddLocked(m); err != nil {
-		return err
-	}
+	s.applyAddLocked(m)
 	s.publishLocked()
 	return nil
 }
 
-// materialRow maps a material onto its relational row.
-func materialRow(m *material.Material) relstore.Row {
-	row := relstore.Row{
-		"slug":        m.ID,
-		"title":       m.Title,
-		"kind":        string(m.Kind),
-		"level":       string(m.Level),
-		"language":    m.Language,
-		"collection":  m.Collection,
-		"url":         m.URL,
-		"description": m.Description,
-		"year":        int64(m.Year),
-		"authors":     append([]string{}, m.Authors...),
-		"datasets":    append([]string{}, m.Datasets...),
-		"tags":        append([]string{}, m.Tags...),
-	}
-	if blooms := bloomColumn(m); blooms != nil {
-		row["blooms"] = blooms
-	}
-	return row
-}
-
 // applyAddLocked commits one already-validated, already-journaled material
-// to the live containers — row, classification links, search index, and
-// incremental models — without publishing. The search text is analyzed once
-// here and shared by every term-keyed structure. Callers hold mu and
-// publish once after all applies in the batch.
-func (s *System) applyAddLocked(m *material.Material) error {
-	rowID, err := s.materials.Insert(materialRow(m))
-	if err != nil {
-		return fmt.Errorf("core: add %q: %w", m.ID, err)
-	}
-	for _, cl := range m.Classifications {
-		entryID, err := s.entryRowIDLocked(cl)
-		if err != nil {
-			return err
-		}
-		s.links.Add(rowID, entryID)
-	}
+// to the live containers — search index and incremental models — without
+// publishing. The search text is analyzed once here and shared by every
+// term-keyed structure. Callers hold mu and publish once after all applies
+// in the batch.
+func (s *System) applyAddLocked(m *material.Material) {
 	terms := textproc.Terms(m.SearchText())
 	s.engine.AddTerms(m, terms)
 	s.observeLocked(m, terms)
-	return nil
 }
 
-func (s *System) entryRowIDLocked(cl material.Classification) (int64, error) {
-	if id, ok := s.entries.UniqueID("node", cl.NodeID); ok {
-		return id, nil
-	}
-	return s.entries.Insert(relstore.Row{
-		"node":  cl.NodeID,
-		"bloom": cl.Bloom.String(),
-	})
-}
-
-// RemoveMaterial deletes a material and its links, and publishes a new view.
+// RemoveMaterial deletes a material and its classifications, and publishes
+// a new view.
 func (s *System) RemoveMaterial(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rowID, err := s.rowIDLocked(id)
+	m, err := s.storedLocked(id)
 	if err != nil {
 		return err
 	}
 	if err := s.hookLocked(OpRemoveMaterial, removeMaterialPayload{ID: id}); err != nil {
 		return fmt.Errorf("core: remove %q: %w", id, err)
 	}
-	if err := s.applyRemoveLocked(id, rowID); err != nil {
-		return err
-	}
+	s.applyRemoveLocked(m)
 	s.publishLocked()
 	return nil
 }
@@ -498,69 +403,63 @@ func (s *System) validated(m *material.Material) (*material.Material, error) {
 
 // uniqueLocked refuses a material id that is already stored.
 func (s *System) uniqueLocked(id string) error {
-	if _, taken := s.materials.UniqueID("slug", id); taken {
+	if s.engine.Get(id) != nil {
 		return fmt.Errorf("core: add %q: duplicate material", id)
 	}
 	return nil
 }
 
-// rowIDLocked resolves a stored material's relational row id.
-func (s *System) rowIDLocked(id string) (int64, error) {
-	rowID, ok := s.materials.UniqueID("slug", id)
-	if !ok {
-		return 0, fmt.Errorf("core: no material %q", id)
+// storedLocked returns the stored material with the given id.
+func (s *System) storedLocked(id string) (*material.Material, error) {
+	m := s.engine.Get(id)
+	if m == nil {
+		return nil, fmt.Errorf("core: no material %q", id)
 	}
-	return rowID, nil
+	return m, nil
 }
 
 // reclassifiedLocked validates a reclassification and returns the stored
-// material, its replacement carrying cls, and its row id.
-func (s *System) reclassifiedLocked(id string, cls []material.Classification) (prev, next *material.Material, rowID int64, err error) {
-	prev = s.engine.Get(id)
-	if prev == nil {
-		return nil, nil, 0, fmt.Errorf("core: no material %q", id)
+// material and its replacement carrying cls.
+func (s *System) reclassifiedLocked(id string, cls []material.Classification) (prev, next *material.Material, err error) {
+	prev, err = s.storedLocked(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	next = prev.Clone()
 	next.Classifications = append([]material.Classification(nil), cls...)
 	if errs := next.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return nil, nil, 0, fmt.Errorf("core: reclassify %q: %w", id, errs[0])
+		return nil, nil, fmt.Errorf("core: reclassify %q: %w", id, errs[0])
 	}
-	rowID, ok := s.materials.UniqueID("slug", id)
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("core: store out of sync for %q", id)
-	}
-	return prev, next, rowID, nil
+	return prev, next, nil
 }
 
 // removeMaterialLocked is RemoveMaterial without the hook, lock, or publish.
 func (s *System) removeMaterialLocked(id string) error {
-	rowID, err := s.rowIDLocked(id)
+	m, err := s.storedLocked(id)
 	if err != nil {
 		return err
 	}
-	return s.applyRemoveLocked(id, rowID)
+	s.applyRemoveLocked(m)
+	return nil
 }
 
 // reclassifyLocked is Reclassify without the hook, lock, or publish.
 func (s *System) reclassifyLocked(id string, cls []material.Classification) error {
-	prev, next, rowID, err := s.reclassifiedLocked(id, cls)
+	prev, next, err := s.reclassifiedLocked(id, cls)
 	if err != nil {
 		return err
 	}
-	return s.applyReclassifyLocked(prev, next, rowID)
+	s.applyReclassifyLocked(prev, next)
+	return nil
 }
 
-// applyRemoveLocked commits an already-journaled removal without publishing.
-func (s *System) applyRemoveLocked(id string, rowID int64) error {
-	if err := s.materials.Delete(rowID); err != nil {
-		return err
-	}
-	s.links.RemoveLeft(rowID)
-	if m := s.engine.Get(id); m != nil {
-		s.forgetLocked(m)
-	}
-	s.engine.Remove(id)
-	return nil
+// applyRemoveLocked commits an already-journaled removal of the stored
+// material m without publishing. Its search text is analyzed once and
+// shared by the models and the text indexes.
+func (s *System) applyRemoveLocked(m *material.Material) {
+	terms := textproc.Terms(m.SearchText())
+	s.forgetLocked(m, terms)
+	s.engine.RemoveTerms(m.ID, terms)
 }
 
 // Reclassify replaces a material's classification set, the editing flow of
@@ -571,46 +470,27 @@ func (s *System) applyRemoveLocked(id string, rowID int64) error {
 func (s *System) Reclassify(id string, cls []material.Classification) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, next, rowID, err := s.reclassifiedLocked(id, cls)
+	prev, next, err := s.reclassifiedLocked(id, cls)
 	if err != nil {
 		return err
 	}
 	if err := s.hookLocked(OpReclassify, reclassifyPayload{ID: id, Classifications: cls}); err != nil {
 		return fmt.Errorf("core: reclassify %q: %w", id, err)
 	}
-	if err := s.applyReclassifyLocked(prev, next, rowID); err != nil {
-		return err
-	}
+	s.applyReclassifyLocked(prev, next)
 	s.publishLocked()
 	return nil
 }
 
 // applyReclassifyLocked commits an already-validated, already-journaled
-// reclassification without publishing.
-func (s *System) applyReclassifyLocked(prev, next *material.Material, rowID int64) error {
-	if blooms := bloomColumn(next); !slices.Equal(blooms, bloomColumn(prev)) {
-		var v any // nil clears the column
-		if blooms != nil {
-			v = blooms
-		}
-		if err := s.materials.Update(rowID, relstore.Row{"blooms": v}); err != nil {
-			return err
-		}
-	}
-	s.links.RemoveLeft(rowID)
-	for _, cl := range next.Classifications {
-		entryID, err := s.entryRowIDLocked(cl)
-		if err != nil {
-			return err
-		}
-		s.links.Add(rowID, entryID)
-	}
-	s.forgetLocked(prev)
-	// Classifications are not part of the search text, so the text
-	// indexes stay as they are; only the stored pointer moves.
+// reclassification without publishing. Classifications are not part of
+// the search text, so the text indexes stay as they are — only the stored
+// pointer moves — and one analysis serves both the forget and the observe.
+func (s *System) applyReclassifyLocked(prev, next *material.Material) {
+	terms := textproc.Terms(prev.SearchText())
+	s.forgetLocked(prev, terms)
 	s.engine.Replace(next)
-	s.observeLocked(next, textproc.Terms(next.SearchText()))
-	return nil
+	s.observeLocked(next, terms)
 }
 
 // The methods below are conveniences that resolve the current view and
@@ -683,17 +563,20 @@ func (s *System) PDCReplacements(id string, k int) ([]similarity.Edge, error) {
 	return s.View().PDCReplacements(id, k)
 }
 
-// Snapshot writes the relational state of the current view as JSON.
+// Snapshot writes the current view's materials in the checkpoint's
+// relational form (see View.Snapshot).
 func (s *System) Snapshot(w io.Writer) error { return s.View().Snapshot(w) }
 
 // Stats summarizes the system for the CLI and the server's status endpoint.
 type Stats struct {
 	Materials   int
 	Collections []string
-	Entries     int
-	Links       int
-	CS13Size    int
-	PDC12Size   int
+	// Entries counts the distinct classification entries in use, Links
+	// the (material, entry) classifications.
+	Entries   int
+	Links     int
+	CS13Size  int
+	PDC12Size int
 }
 
 // ComputeStats gathers the summary from the current view.

@@ -207,7 +207,7 @@ func TestOntologyByName(t *testing.T) {
 	if s.OntologyByName("other") != nil {
 		t.Error("unknown name resolved")
 	}
-	if s.Workflow() == nil || s.Store() == nil || s.View() == nil {
+	if s.Workflow() == nil || s.View() == nil {
 		t.Error("accessors nil")
 	}
 }

@@ -14,17 +14,16 @@ import (
 	"carcs/internal/learn"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
-	"carcs/internal/relstore"
 	"carcs/internal/search"
 	"carcs/internal/similarity"
 )
 
 // View is one immutable snapshot of the system: every container it holds
-// (search engine, relational store, Bayes models, rule miner) is a frozen
-// copy pinned at a single generation. Reads on a View take no locks and
-// never observe a concurrent commit — a handler that resolves a View at the
-// top of a request gets the same answers from every call for the request's
-// whole lifetime, even while the commit pipeline publishes new generations
+// (search engine, Bayes models, rule miner) is a frozen copy pinned at a
+// single generation. Reads on a View take no locks and never observe a
+// concurrent commit — a handler that resolves a View at the top of a
+// request gets the same answers from every call for the request's whole
+// lifetime, even while the commit pipeline publishes new generations
 // underneath it.
 //
 // Views are cheap: publishing one costs O(1) snapshots of persistent
@@ -34,7 +33,6 @@ type View struct {
 	sys     *System
 	gen     uint64
 	eng     *search.Engine
-	store   *relstore.Store
 	bayes   map[*ontology.Ontology]*classify.Bayes
 	learned map[*ontology.Ontology]*learn.Model
 	cooccur *classify.CoOccurrence
@@ -55,10 +53,6 @@ func (v *View) PDC12() *ontology.Ontology { return v.sys.pdc12 }
 func (v *View) OntologyByName(name string) *ontology.Ontology {
 	return v.sys.OntologyByName(name)
 }
-
-// Store exposes the snapped relational store. It is frozen: reads are safe
-// from any goroutine and mutations must not be attempted.
-func (v *View) Store() *relstore.Store { return v.store }
 
 // Material returns the material with the given id at this generation.
 func (v *View) Material(id string) *material.Material { return v.eng.Get(id) }
@@ -383,19 +377,28 @@ func (v *View) PDCReplacements(id string, k int) ([]similarity.Edge, error) {
 	return res.([]similarity.Edge), nil
 }
 
-// Snapshot writes the pinned relational state as JSON.
-func (v *View) Snapshot(w io.Writer) error { return v.store.Snapshot(w) }
+// Snapshot writes the pinned materials as JSON in the checkpoint's
+// relational form: materials, classification entries and the link between
+// them, with row ids numbered afresh (see encodeStore).
+func (v *View) Snapshot(w io.Writer) error { return encodeStore(w, v.eng.All()) }
 
 // Stats summarizes the pinned state for the CLI and the status endpoint.
 func (v *View) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Materials:   v.Len(),
 		Collections: v.Collections(),
-		Entries:     v.store.Table("entries").Len(),
-		Links:       v.store.Link("material_classifications").Len(),
 		CS13Size:    v.sys.cs13.Len(),
 		PDC12Size:   v.sys.pdc12.Len(),
 	}
+	inUse := make(map[string]struct{})
+	for _, m := range v.eng.All() {
+		for _, cl := range m.Classifications {
+			inUse[cl.NodeID] = struct{}{}
+		}
+		st.Links += len(m.Classifications)
+	}
+	st.Entries = len(inUse)
+	return st
 }
 
 // SortedMaterials returns the pinned corpus (optionally filtered), sorted by

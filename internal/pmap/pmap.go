@@ -2,9 +2,9 @@
 // array-mapped trie). Updates return a new map sharing all unchanged
 // structure with the original, so a point update on an n-entry map copies
 // O(log n) trie nodes instead of the whole table. That property is what
-// makes publishing a snapshot of the CAR-CS relational store and search
-// index O(changed rows): a snapshot is a pointer copy, and the writer's
-// next mutation path-copies only the branch it touches.
+// makes publishing a snapshot of the CAR-CS search index and models
+// O(changed entries): a snapshot is a pointer copy, and the writer's next
+// mutation path-copies only the branch it touches.
 //
 // A *Map is safe for concurrent readers without synchronization precisely
 // because it never changes; the single writer produces successor maps.

@@ -72,7 +72,7 @@ func (e *Engine) Add(m *material.Material) {
 // un-trains the stored version's terms.
 func (e *Engine) AddTerms(m *material.Material, terms []string) {
 	if old, exists := e.byID.Get(m.ID); exists {
-		e.unindex(old)
+		e.unindex(old.ID, textproc.Terms(old.SearchText()))
 		e.swap(m)
 	} else {
 		e.mats = append(e.mats, m)
@@ -110,12 +110,11 @@ func (e *Engine) swap(m *material.Material) {
 	e.byID = e.byID.Set(m.ID, m)
 }
 
-// unindex drops a stored material's terms from the text indexes and the
-// speller, touching only its own postings.
-func (e *Engine) unindex(m *material.Material) {
-	terms := textproc.Terms(m.SearchText())
-	e.index.RemoveTerms(m.ID, terms)
-	e.positional.RemoveTerms(m.ID, terms)
+// unindex drops a stored material's analyzed terms from the text indexes
+// and the speller, touching only its own postings.
+func (e *Engine) unindex(id string, terms []string) {
+	e.index.RemoveTerms(id, terms)
+	e.positional.RemoveTerms(id, terms)
 	e.speller.ForgetTerms(terms)
 }
 
@@ -151,11 +150,19 @@ func (e *Engine) AddTermsBatch(ms []*material.Material, termLists [][]string) {
 // Remove drops a material from the engine: its postings, its speller
 // training and its stored pointer.
 func (e *Engine) Remove(id string) {
-	m, exists := e.byID.Get(id)
-	if !exists {
+	if m := e.Get(id); m != nil {
+		e.RemoveTerms(id, textproc.Terms(m.SearchText()))
+	}
+}
+
+// RemoveTerms is Remove for a material whose stored search text has
+// already been analyzed; terms must be that analysis, the list AddTerms
+// was given.
+func (e *Engine) RemoveTerms(id string, terms []string) {
+	if _, exists := e.byID.Get(id); !exists {
 		return
 	}
-	e.unindex(m)
+	e.unindex(id, terms)
 	e.byID = e.byID.Delete(id)
 	next := make([]*material.Material, 0, len(e.mats)-1)
 	for _, m := range e.mats {

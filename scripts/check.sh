@@ -23,6 +23,9 @@ go test -race -shuffle=on ./...
 echo "== fuzz pmap (10s) =="
 go test -run '^$' -fuzz '^FuzzMapOps$' -fuzztime 10s ./internal/pmap
 
+echo "== fuzz checkpoint restore (10s) =="
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/core
+
 # bench/ is its own Go module: the root ./... never compiles it.
 echo "== bench module vet + test =="
 (cd bench && go vet ./... && go test ./...)
