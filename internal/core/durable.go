@@ -538,11 +538,12 @@ type addStretch struct {
 	ids map[string]struct{}
 }
 
-// add validates m and queues its stored copy. Like a lone add, it refuses
-// an id already stored, and also one already queued in the stretch.
+// add validates m and queues it to be stored. m must be a freshly decoded
+// value nothing else holds: the stretch takes ownership instead of copying
+// it. Like a lone add, it refuses an id already stored, and also one
+// already queued in the stretch.
 func (a *addStretch) add(s *System, m *material.Material) error {
-	m, err := s.validated(m)
-	if err != nil {
+	if err := s.validate(m); err != nil {
 		return err
 	}
 	if err := s.uniqueLocked(m.ID); err != nil {

@@ -208,6 +208,15 @@ func nonNil(s []string) []string {
 	return s
 }
 
+// nilIfEmpty undoes nonNil: a restored material holds nil for an empty
+// list, as a live-added one does.
+func nilIfEmpty(s []string) []string {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
 // bloomColumn encodes a material's rated classifications as the blooms
 // column of its row: sorted node=level entries, or nil when no
 // classification is rated, so unrated rows keep the bytes they had before
@@ -306,9 +315,9 @@ func decodeStore(r io.Reader) ([]*material.Material, error) {
 			URL:         row.URL,
 			Description: row.Description,
 			Year:        int(row.Year),
-			Authors:     row.Authors,
-			Datasets:    row.Datasets,
-			Tags:        row.Tags,
+			Authors:     nilIfEmpty(row.Authors),
+			Datasets:    nilIfEmpty(row.Datasets),
+			Tags:        nilIfEmpty(row.Tags),
 		}
 		var err error
 		if levels[i], err = parseBlooms(row.Blooms); err != nil {

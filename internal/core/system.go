@@ -343,10 +343,10 @@ func (s *System) Workflow() *workflow.Queue { return s.queue }
 // to the argument (or through other systems sharing the same seed corpus)
 // never leak in.
 func (s *System) AddMaterial(m *material.Material) error {
-	m, err := s.validated(m)
-	if err != nil {
+	if err := s.validate(m); err != nil {
 		return err
 	}
+	m = m.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.uniqueLocked(m.ID); err != nil {
@@ -391,14 +391,14 @@ func (s *System) RemoveMaterial(id string) error {
 	return nil
 }
 
-// validated checks a material against the curricula and returns the deep
-// copy the system stores. It reads only the immutable ontologies, so
-// AddMaterial runs it before taking the mutation lock.
-func (s *System) validated(m *material.Material) (*material.Material, error) {
+// validate checks a material against the curricula. It reads only the
+// immutable ontologies, so AddMaterial runs it before taking the mutation
+// lock.
+func (s *System) validate(m *material.Material) error {
 	if errs := m.Validate(s.cs13, s.pdc12); len(errs) > 0 {
-		return nil, fmt.Errorf("core: invalid material %q: %w", m.ID, errs[0])
+		return fmt.Errorf("core: invalid material %q: %w", m.ID, errs[0])
 	}
-	return m.Clone(), nil
+	return nil
 }
 
 // uniqueLocked refuses a material id that is already stored.

@@ -67,18 +67,7 @@ func (v *View) Materials(collection string) []*material.Material {
 }
 
 // Collections lists the distinct collection names present, sorted.
-func (v *View) Collections() []string {
-	seen := make(map[string]bool)
-	for _, m := range v.eng.All() {
-		seen[m.Collection] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func (v *View) Collections() []string { return v.Stats().Collections }
 
 // Len returns the number of materials at this generation.
 func (v *View) Len() int { return v.eng.Len() }
@@ -385,18 +374,24 @@ func (v *View) Snapshot(w io.Writer) error { return encodeStore(w, v.eng.All()) 
 // Stats summarizes the pinned state for the CLI and the status endpoint.
 func (v *View) Stats() Stats {
 	st := Stats{
-		Materials:   v.Len(),
-		Collections: v.Collections(),
-		CS13Size:    v.sys.cs13.Len(),
-		PDC12Size:   v.sys.pdc12.Len(),
+		Materials: v.Len(),
+		CS13Size:  v.sys.cs13.Len(),
+		PDC12Size: v.sys.pdc12.Len(),
 	}
+	collections := make(map[string]struct{})
 	inUse := make(map[string]struct{})
 	for _, m := range v.eng.All() {
+		collections[m.Collection] = struct{}{}
 		for _, cl := range m.Classifications {
 			inUse[cl.NodeID] = struct{}{}
 		}
 		st.Links += len(m.Classifications)
 	}
+	st.Collections = make([]string, 0, len(collections))
+	for c := range collections {
+		st.Collections = append(st.Collections, c)
+	}
+	sort.Strings(st.Collections)
 	st.Entries = len(inUse)
 	return st
 }

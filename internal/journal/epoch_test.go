@@ -228,7 +228,7 @@ func TestReplayTornTailAcrossEpochBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			all, valid, err := DecodeAll(data)
+			all, valid, err := scanAll(data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@ func TestWriterAppendBatchOneSyncPerBatch(t *testing.T) {
 			t.Errorf("recs[%d].Seq = %d, want %d", i, r.Seq, i+1)
 		}
 	}
-	decoded, valid, err := DecodeAll(ws.buf.Bytes())
+	decoded, valid, err := scanAll(ws.buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestAppendBatchTornAtEveryOffset(t *testing.T) {
 				wantWhole++
 			}
 		}
-		decoded, _, err := DecodeAll(ws.buf.Bytes())
+		decoded, _, err := scanAll(ws.buf.Bytes())
 		if err != nil {
 			t.Fatalf("cut %d: recovery error: %v", cut, err)
 		}

@@ -15,6 +15,7 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -122,10 +123,10 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// Writer appends records to a WriteSyncer, fsyncing after every record so an
-// acknowledged mutation survives a crash. Any write or sync failure is
-// sticky: the journal may hold a torn frame, so further appends are refused
-// until the journal is reopened (which truncates the tear).
+// Writer appends batches of records to a WriteSyncer, fsyncing after every
+// batch so an acknowledged mutation survives a crash. Any write or sync
+// failure is sticky: the journal may hold a torn frame, so further appends
+// are refused until the journal is reopened (which truncates the tear).
 type Writer struct {
 	mu    sync.Mutex
 	ws    WriteSyncer
@@ -133,9 +134,9 @@ type Writer struct {
 	epoch uint64
 	err   error
 
-	// buf is the reusable frame buffer: frames for an append (or a whole
-	// batch) are assembled here and handed to ws in one Write call, so the
-	// frame bytes are allocated once per Writer, not once per record.
+	// buf is the reusable frame buffer: a batch's frames are assembled here
+	// and handed to ws in one Write call, so the frame bytes are allocated
+	// once per Writer, not once per record.
 	buf []byte
 	// encBuf/enc replace per-record json.Marshal of the Record envelope
 	// with a reusable encoder writing into a reusable buffer. The Encoder
@@ -160,48 +161,14 @@ func (w *Writer) SetEpoch(epoch uint64) {
 	}
 }
 
-// Epoch returns the leadership epoch stamped on new records.
-func (w *Writer) Epoch() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.epoch
-}
-
-// Append marshals data, frames it with the next sequence number, writes and
-// syncs. It returns the record's sequence number.
+// Append journals one op as a one-op AppendBatch and returns its sequence
+// number.
 func (w *Writer) Append(op string, data any) (uint64, error) {
-	rec, err := w.AppendRecord(op, data)
-	return rec.Seq, err
-}
-
-// AppendRecord is Append returning the full committed record, so callers
-// that re-ship the log (the replication hub) get the exact bytes-equivalent
-// record without re-marshalling.
-func (w *Writer) AppendRecord(op string, data any) (Record, error) {
-	raw, err := marshalData(op, data)
+	recs, err := w.AppendBatch([]BatchOp{{Op: op, Data: data}})
 	if err != nil {
-		return Record{}, err
+		return 0, err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return Record{}, fmt.Errorf("journal: writer failed earlier: %w", w.err)
-	}
-	rec := Record{Seq: w.seq + 1, Epoch: w.epoch, Op: op, Data: raw}
-	w.buf = w.buf[:0]
-	if err := w.frameLocked(rec); err != nil {
-		return Record{}, err
-	}
-	if _, err := w.ws.Write(w.buf); err != nil {
-		w.err = err
-		return Record{}, fmt.Errorf("journal: append %s: %w", op, err)
-	}
-	if err := w.ws.Sync(); err != nil {
-		w.err = err
-		return Record{}, fmt.Errorf("journal: sync %s: %w", op, err)
-	}
-	w.seq = rec.Seq
-	return rec, nil
+	return recs[0].Seq, nil
 }
 
 // frameLocked encodes rec and appends its frame to w.buf. Caller holds w.mu.
@@ -229,8 +196,7 @@ func (w *Writer) frameLocked(rec Record) error {
 // whole batch. Either the entire batch is durably committed and returned, or
 // none of it is acknowledged: on failure the writer goes sticky-failed and no
 // sequence numbers are consumed. A crash mid-batch leaves a torn tail that
-// recovery truncates to a prefix of whole records, exactly as for
-// single-record appends.
+// recovery truncates to a prefix of whole records.
 func (w *Writer) AppendBatch(ops []BatchOp) ([]Record, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -282,54 +248,111 @@ func (w *Writer) Err() error {
 	return w.err
 }
 
+// Reader decodes framed records one at a time from a byte stream: a log
+// file under recovery, or a follower's long-poll response. It checks each
+// frame's declared length and checksum and nothing else; Scan adds the
+// ordering rules a whole log must obey.
+type Reader struct {
+	br      *bufio.Reader
+	off     int64
+	payload bytes.Buffer
+}
+
+// NewReader returns a Reader over r, which it buffers.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// Offset returns the byte length of the whole records read so far.
+func (r *Reader) Offset() int64 { return r.off }
+
+// Buffered returns how many bytes can be read without blocking on the
+// underlying stream.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
+// badFrame wraps the ErrCorrupt of a frame that arrived whole but fails its
+// checksum or does not decode. Scan forgives one at the very end of a log,
+// where a crash mid-append can leave exactly that.
+type badFrame struct{ error }
+
+func (e badFrame) Unwrap() error { return e.error }
+
+// Next decodes the next record. It returns io.EOF when the input ends on a
+// frame boundary, and an error wrapping io.ErrUnexpectedEOF when it ends
+// inside a frame. A declared length above MaxRecord, a checksum mismatch or
+// an undecodable payload returns ErrCorrupt (wrapped). Next applies no
+// sequence rules: a stream reader tracks its own cursor.
+func (r *Reader) Next() (Record, error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return Record{}, r.readErr(err)
+	}
+	length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if length > MaxRecord {
+		return Record{}, fmt.Errorf("%w: offset %d declares %d-byte payload", ErrCorrupt, r.off, length)
+	}
+	// The payload buffer grows only as bytes arrive, so a torn frame
+	// declaring a large length costs what is actually there.
+	r.payload.Reset()
+	if _, err := io.CopyN(&r.payload, r.br, length); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Record{}, r.readErr(err)
+	}
+	payload := r.payload.Bytes()
+	if crc32.ChecksumIEEE(payload) != sum {
+		return Record{}, badFrame{fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, r.off)}
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, badFrame{fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, r.off, err)}
+	}
+	r.off += headerSize + length
+	return rec, nil
+}
+
+// readErr reports a failed read at the current frame: io.EOF as is, a
+// partial frame as a torn one.
+func (r *Reader) readErr(err error) error {
+	switch err {
+	case io.EOF:
+		return err
+	case io.ErrUnexpectedEOF:
+		return fmt.Errorf("journal: torn frame at offset %d: %w", r.off, err)
+	}
+	return fmt.Errorf("journal: read: %w", err)
+}
+
 // Scan reads framed records from r in order, invoking fn for each valid
 // one. It returns the byte length of the valid prefix.
 //
 // A torn tail — an incomplete frame, or an invalid final frame — ends the
 // scan cleanly: the caller should truncate the journal to the returned
 // offset and continue. An invalid frame with further data behind it returns
-// ErrCorrupt (wrapped), as does a non-increasing sequence number. An error
-// from fn aborts the scan and is returned as-is.
+// ErrCorrupt (wrapped), as does a declared length above MaxRecord and a
+// sequence number or epoch that does not move forward. An error from fn
+// aborts the scan and is returned as-is.
 func Scan(r io.Reader, fn func(Record) error) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, fmt.Errorf("journal: read: %w", err)
-	}
-	var off int64
-	n := int64(len(data))
+	fr := NewReader(r)
 	var lastSeq, lastEpoch uint64
-	for off < n {
-		if n-off < headerSize {
-			return off, nil // torn header
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > MaxRecord {
-			return off, fmt.Errorf("%w: offset %d declares %d-byte payload", ErrCorrupt, off, length)
-		}
-		end := off + headerSize + length
-		if end > n {
-			return off, nil // torn payload
-		}
-		payload := data[off+headerSize : end]
-		final := end == n
-		if crc32.ChecksumIEEE(payload) != sum {
-			if final {
+	for {
+		off := fr.Offset()
+		rec, err := fr.Next()
+		switch {
+		case err == io.EOF, errors.Is(err, io.ErrUnexpectedEOF):
+			return off, nil // clean end, or torn final frame
+		case errors.As(err, new(badFrame)):
+			if _, perr := fr.br.Peek(1); perr == io.EOF {
 				return off, nil // torn final record
 			}
-			return off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			if final {
-				return off, nil
-			}
-			return off, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
-		}
-		if rec.Seq <= lastSeq {
+			return off, err
+		case err != nil:
+			return off, err
+		case rec.Seq <= lastSeq:
 			return off, fmt.Errorf("%w: sequence %d at offset %d not after %d", ErrCorrupt, rec.Seq, off, lastSeq)
-		}
-		if rec.Epoch < lastEpoch {
+		case rec.Epoch < lastEpoch:
 			// Epochs only advance within one log: a writer is created at
 			// one epoch and only ever bumped. A regression means frames
 			// from different terms were spliced together.
@@ -338,11 +361,8 @@ func Scan(r io.Reader, fn func(Record) error) (int64, error) {
 		if err := fn(rec); err != nil {
 			return off, err
 		}
-		lastSeq = rec.Seq
-		lastEpoch = rec.Epoch
-		off = end
+		lastSeq, lastEpoch = rec.Seq, rec.Epoch
 	}
-	return off, nil
 }
 
 // EncodeRecord frames a record as Writer would, for tests that need to craft
@@ -353,49 +373,4 @@ func EncodeRecord(rec Record) ([]byte, error) {
 		return nil, err
 	}
 	return appendFrame(nil, payload), nil
-}
-
-// DecodeAll scans every record in data into a slice, a convenience for
-// tests and tooling.
-func DecodeAll(data []byte) ([]Record, int64, error) {
-	var out []Record
-	valid, err := Scan(bytes.NewReader(data), func(rec Record) error {
-		out = append(out, rec)
-		return nil
-	})
-	return out, valid, err
-}
-
-// ReadFrame decodes exactly one framed record from r, blocking until the
-// whole frame arrives. It is the streaming counterpart of Scan for readers
-// that cannot buffer the entire log — a replication follower tailing a
-// chunked HTTP response. io.EOF on a frame boundary means the stream ended
-// cleanly; a partial frame returns io.ErrUnexpectedEOF. Unlike Scan,
-// ReadFrame does not enforce sequence ordering across calls — the caller
-// tracks its own cursor (and a follower skips already-applied sequences).
-func ReadFrame(r io.Reader) (Record, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("journal: read frame header: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > MaxRecord {
-		return Record{}, fmt.Errorf("%w: frame declares %d-byte payload", ErrCorrupt, length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, fmt.Errorf("journal: read frame payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, fmt.Errorf("%w: undecodable frame: %v", ErrCorrupt, err)
-	}
-	return rec, nil
 }

@@ -39,7 +39,7 @@ func TestWriterScanRoundTrip(t *testing.T) {
 	if ws.syncs != 5 {
 		t.Errorf("syncs = %d, want 5 (one per record)", ws.syncs)
 	}
-	recs, valid, err := DecodeAll(ws.buf.Bytes())
+	recs, valid, err := scanAll(ws.buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestScanTornTailTruncates(t *testing.T) {
 	whole := ws.buf.Len()
 	// Chop the final record at every possible byte boundary: header torn,
 	// payload torn — each must recover exactly the first two records.
-	recs, _, err := DecodeAll(ws.buf.Bytes())
+	recs, _, err := scanAll(ws.buf.Bytes())
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("setup decode: %d recs, %v", len(recs), err)
 	}
@@ -80,7 +80,7 @@ func TestScanTornTailTruncates(t *testing.T) {
 		prefix = append(prefix, b...)
 	}
 	for cut := len(prefix) + 1; cut < whole; cut++ {
-		got, valid, err := DecodeAll(ws.buf.Bytes()[:cut])
+		got, valid, err := scanAll(ws.buf.Bytes()[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: unexpected error %v", cut, err)
 		}
@@ -104,7 +104,7 @@ func TestScanCorruptInteriorRefused(t *testing.T) {
 	data := append([]byte(nil), ws.buf.Bytes()...)
 	// Flip a byte in the middle of the first record's payload.
 	data[headerSize+4] ^= 0xFF
-	_, _, err := DecodeAll(data)
+	_, _, err := scanAll(data)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("interior corruption error = %v, want ErrCorrupt", err)
 	}
@@ -112,7 +112,7 @@ func TestScanCorruptInteriorRefused(t *testing.T) {
 	// The same flip in the final record is a torn tail, not corruption.
 	data = append([]byte(nil), ws.buf.Bytes()...)
 	data[len(data)-3] ^= 0xFF
-	recs, _, err := DecodeAll(data)
+	recs, _, err := scanAll(data)
 	if err != nil {
 		t.Fatalf("final-record corruption: %v, want clean truncation", err)
 	}
@@ -130,7 +130,7 @@ func TestScanAbsurdLengthIsCorrupt(t *testing.T) {
 	data := append([]byte(nil), ws.buf.Bytes()...)
 	// Overwrite the length field with a value no Writer can produce.
 	data[0], data[1], data[2], data[3] = 0xFF, 0xFF, 0xFF, 0x7F
-	_, _, err := DecodeAll(data)
+	_, _, err := scanAll(data)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd length error = %v, want ErrCorrupt", err)
 	}
@@ -145,7 +145,7 @@ func TestScanNonIncreasingSeqIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = DecodeAll(append(r1, r2...))
+	_, _, err = scanAll(append(r1, r2...))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate seq error = %v, want ErrCorrupt", err)
 	}

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,97 +100,66 @@ func Open(dir string, opts *Options) (*Store, error) {
 	if opts != nil && opts.WrapWAL != nil {
 		s.wrap = opts.WrapWAL
 	}
-	path := filepath.Join(dir, checkpointFile)
-	fi, err := os.Stat(path)
-	switch {
-	case err == nil:
-		meta, err := readCheckpointMeta(path)
-		if err != nil {
-			return nil, err
-		}
+	meta, _, fi, err := readCheckpoint(dir, false)
+	if err != nil {
+		return nil, err
+	}
+	if fi != nil {
 		s.checkpointSeq = meta.Seq
 		s.epoch = meta.Epoch
 		s.checkpointAt = fi.ModTime()
 		s.checkpointBytes = fi.Size()
-	case os.IsNotExist(err):
-	default:
-		return nil, fmt.Errorf("journal: stat checkpoint: %w", err)
 	}
 	return s, nil
 }
 
-func readCheckpointMeta(path string) (checkpointMeta, error) {
-	f, err := os.Open(path)
+// readCheckpoint opens dir's checkpoint file and parses its meta line, and
+// with withPayload reads the snapshot payload behind it from the same open
+// file, so a concurrent install (an atomic rename) can never mix one
+// checkpoint's meta with another's payload. fi is nil when no checkpoint
+// exists.
+func readCheckpoint(dir string, withPayload bool) (meta checkpointMeta, payload []byte, fi os.FileInfo, err error) {
+	f, err := os.Open(filepath.Join(dir, checkpointFile))
+	if os.IsNotExist(err) {
+		return meta, nil, nil, nil
+	}
 	if err != nil {
-		return checkpointMeta{}, fmt.Errorf("journal: open checkpoint: %w", err)
+		return meta, nil, nil, fmt.Errorf("journal: open checkpoint: %w", err)
 	}
 	defer f.Close()
-	var meta checkpointMeta
-	line, err := bufio.NewReader(f).ReadBytes('\n')
+	if fi, err = f.Stat(); err != nil {
+		return meta, nil, nil, fmt.Errorf("journal: stat checkpoint: %w", err)
+	}
+	r := bufio.NewReader(f)
+	line, err := r.ReadBytes('\n')
 	if err != nil && err != io.EOF {
-		return meta, fmt.Errorf("journal: read checkpoint meta: %w", err)
+		return meta, nil, nil, fmt.Errorf("journal: read checkpoint meta: %w", err)
 	}
 	if err := json.Unmarshal(line, &meta); err != nil {
-		return meta, fmt.Errorf("journal: parse checkpoint meta: %w", err)
+		return meta, nil, nil, fmt.Errorf("journal: parse checkpoint meta: %w", err)
 	}
-	return meta, nil
+	if withPayload {
+		if payload, err = io.ReadAll(r); err != nil {
+			return meta, nil, nil, fmt.Errorf("journal: read checkpoint: %w", err)
+		}
+	}
+	return meta, payload, fi, nil
 }
-
-// Dir returns the journal directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Checkpoint returns the latest snapshot payload (the bytes after the meta
 // line) and whether a checkpoint exists.
 func (s *Store) Checkpoint() ([]byte, bool, error) {
-	path := filepath.Join(s.dir, checkpointFile)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("journal: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	if _, err := r.ReadBytes('\n'); err != nil && err != io.EOF {
-		return nil, false, fmt.Errorf("journal: read checkpoint meta: %w", err)
-	}
-	payload, err := io.ReadAll(r)
-	if err != nil {
-		return nil, false, fmt.Errorf("journal: read checkpoint: %w", err)
-	}
-	return payload, true, nil
+	_, payload, fi, err := readCheckpoint(s.dir, true)
+	return payload, fi != nil, err
 }
 
 // CheckpointWithMeta returns the latest snapshot payload together with the
-// sequence number it covers, reading both from the same opened file so a
-// concurrent checkpoint install (an atomic rename) can never mix the pair.
-// The replication bootstrap endpoint serves exactly this pair: followers
+// sequence number and epoch it covers, read from the same opened file. The
+// replication bootstrap endpoint serves exactly this pair: followers
 // restore the payload and tail the log from the covered sequence.
 func (s *Store) CheckpointWithMeta() (payload []byte, seq, epoch uint64, ok bool, err error) {
-	path := filepath.Join(s.dir, checkpointFile)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, 0, false, nil
-	}
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("journal: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	line, err := r.ReadBytes('\n')
-	if err != nil && err != io.EOF {
-		return nil, 0, 0, false, fmt.Errorf("journal: read checkpoint meta: %w", err)
-	}
-	var meta checkpointMeta
-	if err := json.Unmarshal(line, &meta); err != nil {
-		return nil, 0, 0, false, fmt.Errorf("journal: parse checkpoint meta: %w", err)
-	}
-	payload, err = io.ReadAll(r)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("journal: read checkpoint: %w", err)
-	}
-	return payload, meta.Seq, meta.Epoch, true, nil
+	meta, payload, fi, err := readCheckpoint(s.dir, true)
+	return payload, meta.Seq, meta.Epoch, fi != nil, err
 }
 
 // TailSince reads every committed record with Seq > from still present in
@@ -199,14 +167,15 @@ func (s *Store) CheckpointWithMeta() (payload []byte, seq, epoch uint64, ok bool
 // are gone from the log; asking for them returns ErrCompacted and the
 // caller must bootstrap from the checkpoint instead.
 //
-// The file read and CRC scan run outside the store lock so a follower
+// The streaming read and CRC scan run outside the store lock so a follower
 // resuming from a deep cursor never stalls the append path. That is safe
-// because the log is append-only between checkpoints: the scan keeps only
-// records at or below the acknowledged sequence captured up front (so
+// because the log is append-only between checkpoints: the scan stops at the
+// first record past the acknowledged sequence captured up front (so
 // never-acked phantoms that a racing Recover may truncate stay invisible,
 // and a half-written racing append parses as a clean torn tail), and a
 // checkpoint truncation racing the read moves checkpointSeq, which is
-// re-checked afterwards and retried against the new horizon.
+// re-checked afterwards and the scan discarded and retried against the new
+// horizon.
 func (s *Store) TailSince(from uint64) ([]Record, error) {
 	for {
 		s.mu.Lock()
@@ -223,13 +192,12 @@ func (s *Store) TailSince(from uint64) ([]Record, error) {
 		ckpt := s.checkpointSeq
 		s.mu.Unlock()
 
-		data, err := os.ReadFile(filepath.Join(s.dir, walFile))
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("journal: tail read wal: %w", err)
-		}
 		var out []Record
-		_, serr := Scan(bytes.NewReader(data), func(rec Record) error {
-			if rec.Seq > from && rec.Seq <= ack {
+		serr := s.tailScan(func(rec Record) error {
+			if rec.Seq > ack {
+				return errUnacked
+			}
+			if rec.Seq > from {
 				out = append(out, rec)
 			}
 			return nil
@@ -259,14 +227,9 @@ func (s *Store) Replay(fn func(Record) error) (int, error) {
 	if s.recovered {
 		return 0, fmt.Errorf("journal: already recovered")
 	}
-	path := filepath.Join(s.dir, walFile)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("journal: read wal: %w", err)
-	}
 	applied := 0
 	lastSeq := s.checkpointSeq
-	valid, err := Scan(bytes.NewReader(data), func(rec Record) error {
+	err := s.reopenWAL(func(rec Record) error {
 		if rec.Seq > lastSeq {
 			lastSeq = rec.Seq
 		}
@@ -287,26 +250,14 @@ func (s *Store) Replay(fn func(Record) error) (int, error) {
 	if err != nil {
 		return applied, err
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return applied, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return applied, fmt.Errorf("journal: open wal: %w", err)
-	}
-	s.f = f
-	s.walBytes.Store(valid)
 	s.walRecords = uint64(applied)
-	s.w = NewWriter(s.wrap(&countingWS{f: f, n: &s.walBytes}), lastSeq)
-	s.w.SetEpoch(s.epoch)
+	s.newWriter(lastSeq)
 	s.recovered = true
 	return applied, nil
 }
 
-// errUnacked stops a recovery scan at the first record the writer never
-// acknowledged.
+// errUnacked stops a scan at the first record the writer had not
+// acknowledged when the scan began.
 var errUnacked = errors.New("journal: unacknowledged record")
 
 // Recover reopens the write-ahead log after a write failure. The sticky
@@ -330,13 +281,8 @@ func (s *Store) Recover() error {
 		_ = s.f.Close()
 		s.f = nil
 	}
-	path := filepath.Join(s.dir, walFile)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("journal: recover read wal: %w", err)
-	}
 	var live uint64
-	valid, err := Scan(bytes.NewReader(data), func(rec Record) error {
+	err := s.reopenWAL(func(rec Record) error {
 		if rec.Seq > ack {
 			return errUnacked
 		}
@@ -345,48 +291,75 @@ func (s *Store) Recover() error {
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, errUnacked) {
+	if err != nil {
 		return err
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("journal: recover truncate: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: recover reopen wal: %w", err)
-	}
-	s.f = f
-	s.walBytes.Store(valid)
 	s.walRecords = live
-	s.w = NewWriter(s.wrap(&countingWS{f: f, n: &s.walBytes}), ack)
-	s.w.SetEpoch(s.epoch)
+	s.newWriter(ack)
 	return nil
 }
 
-// Append journals one mutation: framed, written, and fsync'd before it
-// returns. It must not be called before Replay.
-func (s *Store) Append(op string, data any) (uint64, error) {
-	rec, err := s.AppendRecord(op, data)
-	return rec.Seq, err
+// reopenWAL opens the write-ahead log for reading and appending, streams it
+// through Scan with fn, and truncates whatever follows the valid prefix: a
+// torn tail, or the records fn refused with errUnacked. It installs the
+// file as s.f with walBytes at the kept length; the caller installs the
+// Writer. Caller holds s.mu.
+func (s *Store) reopenWAL(fn func(Record) error) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("journal: open wal: %w", err)
+	}
+	valid, err := Scan(f, fn)
+	if err != nil && !errors.Is(err, errUnacked) {
+		f.Close()
+		return err
+	}
+	fi, err := f.Stat()
+	if err == nil && valid < fi.Size() {
+		err = f.Truncate(valid)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("journal: truncate wal: %w", err)
+	}
+	s.f = f
+	s.walBytes.Store(valid)
+	return nil
 }
 
-// AppendRecord is Append returning the committed record, for callers that
-// forward the log downstream (the replication hub feeds its in-memory tail
-// ring from exactly what hit the disk).
-func (s *Store) AppendRecord(op string, data any) (Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.recovered || s.closed {
-		return Record{}, fmt.Errorf("journal: store not open for appends")
+// tailScan streams the write-ahead log through Scan on a read-only handle of
+// its own, without the store lock; an absent log holds no records. A stop
+// with errUnacked is a clean end.
+func (s *Store) tailScan(fn func(Record) error) error {
+	f, err := os.Open(filepath.Join(s.dir, walFile))
+	if os.IsNotExist(err) {
+		return nil
 	}
-	rec, err := s.w.AppendRecord(op, data)
 	if err != nil {
-		return Record{}, err
+		return fmt.Errorf("journal: tail open wal: %w", err)
 	}
-	s.walRecords++
-	return rec, nil
+	defer f.Close()
+	if _, err := Scan(f, fn); err != nil && !errors.Is(err, errUnacked) {
+		return err
+	}
+	return nil
+}
+
+// newWriter installs a fresh Writer appending to s.f after seq, through the
+// wrap hook and stamped with the store's epoch. Caller holds s.mu.
+func (s *Store) newWriter(seq uint64) {
+	s.w = NewWriter(s.wrap(&countingWS{f: s.f, n: &s.walBytes}), seq)
+	s.w.SetEpoch(s.epoch)
+}
+
+// Append journals one mutation as a one-op AppendBatch: framed, written,
+// and fsync'd before it returns. It must not be called before Replay.
+func (s *Store) Append(op string, data any) (uint64, error) {
+	recs, err := s.AppendBatch([]BatchOp{{Op: op, Data: data}})
+	if err != nil {
+		return 0, err
+	}
+	return recs[0].Seq, nil
 }
 
 // AppendBatch journals every op with one buffered write and one fsync,
@@ -479,8 +452,7 @@ func (s *Store) WriteCheckpoint(write func(io.Writer) error) error {
 	s.f = f2
 	s.walBytes.Store(0)
 	s.walRecords = 0
-	s.w = NewWriter(s.wrap(&countingWS{f: f2, n: &s.walBytes}), seq)
-	s.w.SetEpoch(s.epoch)
+	s.newWriter(seq)
 	return nil
 }
 
@@ -525,8 +497,7 @@ func (s *Store) AdvanceTo(seq uint64) error {
 	if cur := s.w.Seq(); seq < cur {
 		return fmt.Errorf("journal: advance to %d behind current %d", seq, cur)
 	}
-	s.w = NewWriter(s.wrap(&countingWS{f: s.f, n: &s.walBytes}), seq)
-	s.w.SetEpoch(s.epoch)
+	s.newWriter(seq)
 	return nil
 }
 

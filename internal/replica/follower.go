@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -374,7 +373,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	// local system under one lock hold and one view publish. The batch
 	// flushes as soon as the stream would block, so a trickle applies
 	// record-at-a-time and a catch-up burst applies in big strides.
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	fr := journal.NewReader(resp.Body)
 	var batch []journal.Record
 	flush := func() error {
 		if len(batch) == 0 {
@@ -388,7 +387,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 		return nil
 	}
 	for {
-		rec, err := journal.ReadFrame(br)
+		rec, err := fr.Next()
 		if err == io.EOF {
 			return flush()
 		}
@@ -408,7 +407,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 			continue // idempotent re-apply: already folded in
 		}
 		batch = append(batch, rec)
-		if len(batch) >= followerApplyBatch || br.Buffered() == 0 {
+		if len(batch) >= followerApplyBatch || fr.Buffered() == 0 {
 			if err := flush(); err != nil {
 				return err
 			}

@@ -184,8 +184,9 @@ func TestHubServesCheckpointAndWAL(t *testing.T) {
 		t.Fatalf("wal content type = %q", ct)
 	}
 	var seqs []uint64
+	fr := journal.NewReader(resp.Body)
 	for {
-		rec, err := journal.ReadFrame(resp.Body)
+		rec, err := fr.Next()
 		if err == io.EOF {
 			break
 		}
@@ -498,7 +499,7 @@ func TestWALStreamHeadersBeforeLongPoll(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("idle stream status = %d, want 200", resp.StatusCode)
 	}
-	if _, err := journal.ReadFrame(resp.Body); err != io.EOF {
+	if _, err := journal.NewReader(resp.Body).Next(); err != io.EOF {
 		t.Fatalf("idle stream read = %v, want clean EOF at window end", err)
 	}
 }

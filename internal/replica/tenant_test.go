@@ -76,7 +76,11 @@ func TestTenantOpsReplicate(t *testing.T) {
 	if wresp.StatusCode != http.StatusOK {
 		t.Fatalf("wal tail = %d", wresp.StatusCode)
 	}
-	recs, _, err := journal.DecodeAll(raw)
+	var recs []journal.Record
+	_, err = journal.Scan(bytes.NewReader(raw), func(rec journal.Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("decode wire tail: %v", err)
 	}

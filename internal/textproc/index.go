@@ -174,8 +174,18 @@ func (ix *Index) Search(query string, k int) []Scored {
 	if len(qterms) == 0 {
 		return nil
 	}
+	// Query terms are summed in sorted order: float addition is not
+	// associative, so map order would let equal indexes score a document
+	// differently in the last bit.
+	counts := CountTerms(qterms)
+	uniq := make([]string, 0, len(counts))
+	for qt := range counts {
+		uniq = append(uniq, qt)
+	}
+	sort.Strings(uniq)
 	scores := make(map[string]float64)
-	for qt, qtf := range CountTerms(qterms) {
+	for _, qt := range uniq {
+		qtf := counts[qt]
 		m := ix.postings.GetOr(qt, nil)
 		if m.Len() == 0 {
 			continue

@@ -26,6 +26,9 @@ go test -run '^$' -fuzz '^FuzzMapOps$' -fuzztime 10s ./internal/pmap
 echo "== fuzz checkpoint restore (10s) =="
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/core
 
+echo "== fuzz WAL scan (10s) =="
+go test -run '^$' -fuzz '^FuzzScan$' -fuzztime 10s ./internal/journal
+
 # bench/ is its own Go module: the root ./... never compiles it.
 echo "== bench module vet + test =="
 (cd bench && go vet ./... && go test ./...)
