@@ -45,7 +45,7 @@ func BenchmarkEntryClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cs13.Search(cs13.RootID(), "iterative control")
-		sugg, err := sys.Suggest("keyword", "cs13", "loop over arrays of pixels", 5)
+		sugg, err := sys.View().Suggest(context.Background(), "keyword", "cs13", "loop over arrays of pixels", 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkSuggestKeyword(b *testing.B) {
 	s := classify.NewKeyword(ontology.CS13())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := s.Suggest(benchDesc, 10); len(out) == 0 {
+		if out := s.SuggestTerms(textproc.Terms(benchDesc), 10); len(out) == 0 {
 			b.Fatal("no suggestions")
 		}
 	}
@@ -190,7 +190,7 @@ func BenchmarkSuggestTFIDF(b *testing.B) {
 	s := classify.NewTFIDF(ontology.CS13())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := s.Suggest(benchDesc, 10); len(out) == 0 {
+		if out := s.SuggestTerms(textproc.Terms(benchDesc), 10); len(out) == 0 {
 			b.Fatal("no suggestions")
 		}
 	}
@@ -202,7 +202,7 @@ func BenchmarkSuggestBayes(b *testing.B) {
 	s.TrainAll(corpus.ITCS3145().All())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := s.Suggest(benchDesc, 10); len(out) == 0 {
+		if out := s.SuggestTerms(textproc.Terms(benchDesc), 10); len(out) == 0 {
 			b.Fatal("no suggestions")
 		}
 	}
@@ -240,7 +240,7 @@ func BenchmarkSystemSuggestBayes(b *testing.B) {
 	sys := seededSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := sys.Suggest("bayes", "pdc12", benchDesc, 10)
+		out, err := sys.View().Suggest(context.Background(), "bayes", "pdc12", benchDesc, 10)
 		if err != nil || len(out) == 0 {
 			b.Fatalf("out=%d err=%v", len(out), err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkSystemRecommendCoOccurrence(b *testing.B) {
 	arrays := "acm-ieee-cs-curricula-2013/sdf/fundamental-data-structures/arrays"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := sys.Recommend([]string{arrays}, 10); len(out) == 0 {
+		if out := sys.View().Recommend([]string{arrays}, 10); len(out) == 0 {
 			b.Fatal("no recommendations")
 		}
 	}
@@ -262,7 +262,7 @@ func BenchmarkSystemSuggestTFIDFPDC12(b *testing.B) {
 	sys := seededSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := sys.Suggest("tfidf", "pdc12", benchDesc, 10)
+		out, err := sys.View().Suggest(context.Background(), "tfidf", "pdc12", benchDesc, 10)
 		if err != nil || len(out) == 0 {
 			b.Fatalf("out=%d err=%v", len(out), err)
 		}
@@ -273,7 +273,7 @@ func BenchmarkSystemCoverageWarm(b *testing.B) {
 	sys := seededSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := sys.Coverage("cs13", "")
+		r, err := sys.View().Coverage("cs13", "")
 		if err != nil || r.Materials == 0 {
 			b.Fatalf("err=%v", err)
 		}
@@ -284,7 +284,7 @@ func BenchmarkSystemSimilarityWarm(b *testing.B) {
 	sys := seededSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g := sys.SimilarityGraph("nifty", "peachy", 2); len(g.Nodes) == 0 {
+		if g, err := sys.View().SimilarityGraph(context.Background(), "nifty", "peachy", 2); err != nil || len(g.Nodes) == 0 {
 			b.Fatal("empty graph")
 		}
 	}
@@ -368,7 +368,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := sys.Snapshot(&buf); err != nil {
+		if err := sys.View().Snapshot(&buf); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := core.Restore(&buf); err != nil {
@@ -498,7 +498,7 @@ func BenchmarkReadUnderIngest(b *testing.B) {
 							return
 						}
 					case 1:
-						v.SimilarityGraph("nifty", "peachy", 2)
+						_, _ = v.SimilarityGraph(context.Background(), "nifty", "peachy", 2)
 					default:
 						v.SearchText("parallel graph simulation", 10)
 					}
@@ -712,7 +712,7 @@ func BenchmarkSuggestEnsemble(b *testing.B) {
 	ens := classify.NewEnsemble(classify.NewKeyword(cs13), classify.NewTFIDF(cs13))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := ens.Suggest(benchDesc, 10); len(out) == 0 {
+		if out := ens.SuggestTerms(textproc.Terms(benchDesc), 10); len(out) == 0 {
 			b.Fatal("no suggestions")
 		}
 	}

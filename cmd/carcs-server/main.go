@@ -161,7 +161,7 @@ func run(addr string, empty bool, dataDir string, ckptEvery time.Duration, pprof
 		fmt.Printf("carcs-server: per-workspace material quota %d\n", tenantQuota)
 	}
 
-	st := sys.ComputeStats()
+	st := sys.View().Stats()
 	fmt.Printf("carcs-server: %d materials in %v, CS13 %d entries, PDC12 %d entries\n",
 		st.Materials, st.Collections, st.CS13Size, st.PDC12Size)
 	fmt.Printf("carcs-server: listening on %s\n", addr)

@@ -77,7 +77,7 @@ func runEval(sys *core.System, rest []string) error {
 
 	p := learn.DefaultParams()
 	report := evalReport{Params: p, Ontologies: map[string]evalOntology{}}
-	mats := sys.Materials("")
+	mats := sys.View().Materials("")
 	for _, o := range onts {
 		name := "cs13"
 		if o == sys.PDC12() {

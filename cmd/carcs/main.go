@@ -101,7 +101,7 @@ func run(args []string) error {
 	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "stats":
-		st := sys.ComputeStats()
+		st := sys.View().Stats()
 		fmt.Printf("materials:   %d\n", st.Materials)
 		fmt.Printf("collections: %s\n", strings.Join(st.Collections, ", "))
 		fmt.Printf("entries:     %d distinct classification entries in use (%d links)\n", st.Entries, st.Links)
@@ -136,7 +136,7 @@ func run(args []string) error {
 		if len(rest) != 1 {
 			return fmt.Errorf("show needs exactly one material id")
 		}
-		m := sys.Material(rest[0])
+		m := sys.View().Material(rest[0])
 		if m == nil {
 			return fmt.Errorf("no material %q", rest[0])
 		}
@@ -161,7 +161,7 @@ func run(args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		rep, err := sys.Coverage(*ont, *collection)
+		rep, err := sys.View().Coverage(*ont, *collection)
 		if err != nil {
 			return err
 		}
@@ -184,7 +184,7 @@ func run(args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		rep, err := sys.Coverage(*ont, *collection)
+		rep, err := sys.View().Coverage(*ont, *collection)
 		if err != nil {
 			return err
 		}
@@ -207,7 +207,10 @@ func run(args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		g := sys.SimilarityGraph(*left, *right, *threshold)
+		g, err := sys.View().SimilarityGraph(context.Background(), *left, *right, *threshold)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("%d nodes, %d edges, %.0f%% isolated\n", len(g.Nodes), len(g.Edges), 100*g.IsolationRatio())
 		for _, comp := range g.Components(2) {
 			fmt.Printf("cluster (%d): %s\n", len(comp), strings.Join(comp, ", "))
@@ -278,7 +281,7 @@ func run(args []string) error {
 		if o == nil {
 			return fmt.Errorf("unknown ontology %q", *ont)
 		}
-		rep := coverage.ComputeDepth(o, sys.Materials(*collection))
+		rep := coverage.ComputeDepth(o, sys.View().Materials(*collection))
 		fmt.Printf("Bloom depth vs %s: %d met, %d shallow, %d unrated (%.0f%% rated)\n",
 			o.Name(), rep.Met, rep.Shallow, rep.Unrated, 100*rep.RatedFraction())
 		for _, e := range rep.ShallowEntries() {
@@ -319,7 +322,7 @@ func run(args []string) error {
 		if *q == "" {
 			return fmt.Errorf("suggest needs -q")
 		}
-		sugg, err := sys.Suggest(*method, *ont, *q, *k)
+		sugg, err := sys.View().Suggest(context.Background(), *method, *ont, *q, *k)
 		if err != nil {
 			return err
 		}
@@ -339,7 +342,7 @@ func run(args []string) error {
 		if len(entries) == 0 {
 			return fmt.Errorf("recommend needs at least one -entry")
 		}
-		for _, r := range sys.Recommend(entries, *k) {
+		for _, r := range sys.View().Recommend(entries, *k) {
 			fmt.Printf("conf=%.2f supp=%.3f n=%d  %s\n", r.Confidence, r.Support, r.Count, r.Then)
 		}
 		return nil
@@ -348,7 +351,7 @@ func run(args []string) error {
 		if len(rest) != 1 {
 			return fmt.Errorf("replacements needs exactly one material id")
 		}
-		edges, err := sys.PDCReplacements(rest[0], 10)
+		edges, err := sys.View().PDCReplacements(rest[0], 10)
 		if err != nil {
 			return err
 		}
@@ -394,11 +397,11 @@ func run(args []string) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		ra, err := sys.Coverage(*ont, *a)
+		ra, err := sys.View().Coverage(*ont, *a)
 		if err != nil {
 			return err
 		}
-		rb, err := sys.Coverage(*ont, *bb)
+		rb, err := sys.View().Coverage(*ont, *bb)
 		if err != nil {
 			return err
 		}
@@ -448,7 +451,7 @@ func run(args []string) error {
 			}
 		}
 		review := 0
-		for _, m := range sys.Materials("") {
+		for _, m := range sys.View().Materials("") {
 			var pdcIDs []string
 			for _, id := range m.ClassificationIDs() {
 				if old.Has(id) {
@@ -554,7 +557,7 @@ func run(args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := sys.Snapshot(f); err != nil {
+		if err := sys.View().Snapshot(f); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)

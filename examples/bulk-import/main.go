@@ -48,7 +48,7 @@ func main() {
 	// Auto-classified records carry the machine-classified tag so curators
 	// can audit (or re-review) everything the suggester decided on its own.
 	for _, id := range []string{"bulk-demo-mpi-sort", "bulk-demo-locks"} {
-		m := sys.Material(id)
+		m := sys.View().Material(id)
 		if m == nil {
 			continue
 		}

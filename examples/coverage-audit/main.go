@@ -22,7 +22,7 @@ func main() {
 	}
 
 	fmt.Println("=== ITCS 3145 against the PDC12 curriculum (Fig. 2f) ===")
-	pd, err := sys.Coverage("pdc12", "itcs3145")
+	pd, err := sys.View().Coverage("pdc12", "itcs3145")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	}
 
 	fmt.Println("\n=== ITCS 3145 against the CS13 curriculum (Fig. 2c) ===")
-	cs, err := sys.Coverage("cs13", "itcs3145")
+	cs, err := sys.View().Coverage("cs13", "itcs3145")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 
 	// The submitter uploads a material, classified with suggester help.
 	desc := "Implement a work-stealing task pool in C and use it to parallelize recursive Fibonacci and tree sums."
-	sugg, err := sys.Suggest("tfidf", "pdc12", desc, 3)
+	sugg, err := sys.View().Suggest(context.Background(), "tfidf", "pdc12", desc, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

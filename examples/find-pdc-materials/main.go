@@ -19,6 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	v := sys.View()
 
 	// The six Nifty assignments the paper names as having PDC matches.
 	inUse := []string{
@@ -26,9 +27,9 @@ func main() {
 		"nbody-simulation", "image-editor", "uno",
 	}
 	for _, id := range inUse {
-		m := sys.Material(id)
+		m := v.Material(id)
 		fmt.Printf("you use: %s (%s, %s)\n", m.Title, m.Level, m.Language)
-		edges, err := sys.PDCReplacements(id, 3)
+		edges, err := v.PDCReplacements(id, 3)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,12 +38,12 @@ func main() {
 			continue
 		}
 		for _, e := range edges {
-			repl := sys.Material(e.B)
+			repl := v.Material(e.B)
 			fmt.Printf("  candidate: %-55s (%.0f shared)\n", repl.Title, e.Score)
 			for _, sh := range e.Shared {
-				path := sys.CS13().Path(sh)
+				path := v.CS13().Path(sh)
 				if path == "" {
-					path = sys.PDC12().Path(sh)
+					path = v.PDC12().Path(sh)
 				}
 				fmt.Printf("      shares: %s\n", path)
 			}
@@ -53,7 +54,7 @@ func main() {
 	// And one with no matches, as the paper observes for systems-oriented
 	// Peachy assignments.
 	fmt.Println("you use: Boggle (not in the cluster)")
-	edges, err := sys.PDCReplacements("boggle", 3)
+	edges, err := v.PDCReplacements("boggle", 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := sys.ComputeStats()
+	st := sys.View().Stats()
 	fmt.Printf("seeded repository: %d materials in %v\n\n", st.Materials, st.Collections)
 
 	// Describe a new assignment and let the suggester propose entries
@@ -30,7 +31,7 @@ func main() {
 	desc := "Students parallelize a Game of Life grid with OpenMP pragmas, " +
 		"looping over arrays of cells and measuring speedup across cores."
 	fmt.Println("suggested classifications for the new assignment:")
-	sugg, err := sys.Suggest("tfidf", "cs13", desc, 5)
+	sugg, err := sys.View().Suggest(context.Background(), "tfidf", "cs13", desc, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("\nadded %q with %d classifications\n\n", m.Title, len(m.Classifications))
 
 	// What entries commonly co-occur with the ones we picked?
-	if recs := sys.Recommend(m.ClassificationIDs(), 3); len(recs) > 0 {
+	if recs := sys.View().Recommend(m.ClassificationIDs(), 3); len(recs) > 0 {
 		fmt.Println("entries commonly used together with your selection:")
 		for _, r := range recs {
 			fmt.Printf("  conf %.2f  %s\n", r.Confidence, r.Then)
@@ -76,7 +77,7 @@ func main() {
 	}
 
 	// And the repository-wide PDC12 coverage picture.
-	rep, err := sys.Coverage("pdc12", "")
+	rep, err := sys.View().Coverage("pdc12", "")
 	if err != nil {
 		log.Fatal(err)
 	}

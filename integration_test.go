@@ -2,6 +2,7 @@ package carcs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -85,7 +86,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("review = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if sys.Material("net-ring-lab") == nil {
+	if sys.View().Material("net-ring-lab") == nil {
 		t.Fatal("approved material not installed")
 	}
 
@@ -102,11 +103,11 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if restored.Len() != 99 {
 		t.Fatalf("restored %d materials, want 99", restored.Len())
 	}
-	g := restored.SimilarityGraph("nifty", "peachy", 2)
+	g, _ := restored.View().SimilarityGraph(context.Background(), "nifty", "peachy", 2)
 	if len(g.Edges) != 24 || len(g.Components(2)) != 1 {
 		t.Errorf("restored system lost Figure 3: %d edges", len(g.Edges))
 	}
-	rep, err := restored.Coverage("cs13", "nifty")
+	rep, err := restored.View().Coverage("cs13", "nifty")
 	if err != nil || rep.TopAreas(1)[0] != "SDF" {
 		t.Errorf("restored system lost Figure 2a shape")
 	}
@@ -150,17 +151,17 @@ func TestSeededDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bufA, bufB bytes.Buffer
-	if err := a.Snapshot(&bufA); err != nil {
+	if err := a.View().Snapshot(&bufA); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Snapshot(&bufB); err != nil {
+	if err := b.View().Snapshot(&bufB); err != nil {
 		t.Fatal(err)
 	}
 	if bufA.String() != bufB.String() {
 		t.Error("seeded snapshots differ")
 	}
-	ra, _ := a.Coverage("cs13", "")
-	rb, _ := b.Coverage("cs13", "")
+	ra, _ := a.View().Coverage("cs13", "")
+	rb, _ := b.View().Coverage("cs13", "")
 	if viz.CoverageTreeASCII(ra, 3) != viz.CoverageTreeASCII(rb, 3) {
 		t.Error("coverage renderings differ")
 	}

@@ -217,15 +217,11 @@ func (b *Bayes) TrainAll(mats []*material.Material) {
 // Trained returns the number of training materials seen.
 func (b *Bayes) Trained() int { return b.trained }
 
-// Suggest implements Suggester: it scores every entry with training data by
-// log P(entry) + Σ log P(term|entry) with Laplace smoothing, and returns the
-// top k as suggestions. Scores are shifted so the best suggestion has score
-// 1 and others fall off exponentially (comparable across queries).
-func (b *Bayes) Suggest(text string, k int) []Suggestion {
-	return b.SuggestTerms(textproc.Terms(text), k)
-}
-
-// SuggestTerms implements TermSuggester.
+// SuggestTerms implements Suggester: it scores every entry with training
+// data by log P(entry) + Σ log P(term|entry) with Laplace smoothing, and
+// returns the top k as suggestions. Scores are shifted so the best
+// suggestion has score 1 and others fall off exponentially (comparable
+// across queries).
 func (b *Bayes) SuggestTerms(terms []string, k int) []Suggestion {
 	if b.trained == 0 || len(terms) == 0 {
 		return nil

@@ -7,11 +7,12 @@ import (
 	"carcs/internal/corpus"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
+	"carcs/internal/textproc"
 )
 
 func TestKeywordSuggest(t *testing.T) {
 	k := NewKeyword(ontology.CS13())
-	sugg := k.Suggest("an assignment about arrays and iterative loops over an array", 10)
+	sugg := k.SuggestTerms(textproc.Terms("an assignment about arrays and iterative loops over an array"), 10)
 	if len(sugg) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -32,17 +33,17 @@ func TestKeywordSuggest(t *testing.T) {
 			t.Error("suggestions not sorted")
 		}
 	}
-	if k.Suggest("", 5) != nil {
+	if k.SuggestTerms(textproc.Terms(""), 5) != nil {
 		t.Error("empty text should yield nil")
 	}
-	if got := k.Suggest("arrays", 3); len(got) > 3 {
+	if got := k.SuggestTerms(textproc.Terms("arrays"), 3); len(got) > 3 {
 		t.Error("limit not applied")
 	}
 }
 
 func TestTFIDFSuggest(t *testing.T) {
 	s := NewTFIDF(ontology.PDC12())
-	sugg := s.Suggest("students measure speedup and efficiency of an OpenMP loop", 8)
+	sugg := s.SuggestTerms(textproc.Terms("students measure speedup and efficiency of an OpenMP loop"), 8)
 	if len(sugg) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -59,7 +60,7 @@ func TestTFIDFSuggest(t *testing.T) {
 
 func TestBayesTrainSuggest(t *testing.T) {
 	b := NewBayes(ontology.PDC12())
-	if b.Suggest("anything", 5) != nil {
+	if b.SuggestTerms(textproc.Terms("anything"), 5) != nil {
 		t.Error("untrained model should return nil")
 	}
 	b.TrainAll(corpus.Peachy().All())
@@ -67,7 +68,7 @@ func TestBayesTrainSuggest(t *testing.T) {
 	if b.Trained() == 0 {
 		t.Fatal("nothing trained")
 	}
-	sugg := b.Suggest("parallelize a loop with OpenMP pragmas and measure the speedup", 5)
+	sugg := b.SuggestTerms(textproc.Terms("parallelize a loop with OpenMP pragmas and measure the speedup"), 5)
 	if len(sugg) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -187,7 +188,7 @@ func TestEnsembleSuggest(t *testing.T) {
 	if got := ens.Name(); got != "ensemble(keyword+tfidf)" {
 		t.Errorf("Name = %q", got)
 	}
-	sugg := ens.Suggest("an assignment about arrays and iterative loops", 10)
+	sugg := ens.SuggestTerms(textproc.Terms("an assignment about arrays and iterative loops"), 10)
 	if len(sugg) == 0 || len(sugg) > 10 {
 		t.Fatalf("ensemble suggestions = %d", len(sugg))
 	}

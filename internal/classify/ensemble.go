@@ -12,17 +12,19 @@ import (
 // model sharpen the training-free ones without being able to veto them.
 type Ensemble struct {
 	members []Suggester
-	// K0 is the fusion constant; 60 is the standard choice, smaller
-	// values weight top ranks more heavily.
-	K0 float64
-	// Pool is how many suggestions each member contributes; defaults to
-	// 3x the requested k.
-	Pool int
 }
+
+const (
+	// ensembleK0 is the fusion constant; 60 is the standard choice.
+	ensembleK0 = 60
+	// ensemblePool is how many suggestions each member contributes per
+	// requested one; k <= 0 pools 30.
+	ensemblePool = 3
+)
 
 // NewEnsemble builds an ensemble over the given members.
 func NewEnsemble(members ...Suggester) *Ensemble {
-	return &Ensemble{members: members, K0: 60}
+	return &Ensemble{members: members}
 }
 
 // Name implements Suggester.
@@ -37,44 +39,19 @@ func (e *Ensemble) Name() string {
 	return name + ")"
 }
 
-// Suggest implements Suggester via reciprocal-rank fusion.
-func (e *Ensemble) Suggest(text string, k int) []Suggestion {
-	out, _ := e.SuggestCtx(context.Background(), text, k)
+// SuggestTerms implements Suggester via reciprocal-rank fusion.
+func (e *Ensemble) SuggestTerms(terms []string, k int) []Suggestion {
+	out, _ := e.SuggestTermsCtx(context.Background(), terms, k)
 	return out
 }
 
-// SuggestCtx is Suggest with a cancellation check between members, so a
-// shed or timed-out request pays for at most one member's scoring pass.
-func (e *Ensemble) SuggestCtx(ctx context.Context, text string, k int) ([]Suggestion, error) {
-	return e.fuse(ctx, k, func(m Suggester, pool int) []Suggestion {
-		return m.Suggest(text, pool)
-	})
-}
-
-// SuggestTermsCtx fuses the members over pre-analyzed terms. Members that
-// cannot score terms directly are skipped — in practice every engine in
-// the system implements TermSuggester, so this is a type-safety valve, not
-// a behavior fork.
+// SuggestTermsCtx is SuggestTerms with a cancellation check between
+// members, so a shed or timed-out request pays for at most one member's
+// scoring pass.
 func (e *Ensemble) SuggestTermsCtx(ctx context.Context, terms []string, k int) ([]Suggestion, error) {
-	return e.fuse(ctx, k, func(m Suggester, pool int) []Suggestion {
-		if ts, ok := m.(TermSuggester); ok {
-			return ts.SuggestTerms(terms, pool)
-		}
-		return nil
-	})
-}
-
-func (e *Ensemble) fuse(ctx context.Context, k int, member func(Suggester, int) []Suggestion) ([]Suggestion, error) {
-	pool := e.Pool
+	pool := ensemblePool * k
 	if pool <= 0 {
-		pool = 3 * k
-		if pool <= 0 {
-			pool = 30
-		}
-	}
-	k0 := e.K0
-	if k0 <= 0 {
-		k0 = 60
+		pool = 30
 	}
 	scores := make(map[string]float64)
 	paths := make(map[string]string)
@@ -82,8 +59,8 @@ func (e *Ensemble) fuse(ctx context.Context, k int, member func(Suggester, int) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for rank, sg := range member(m, pool) {
-			scores[sg.NodeID] += 1 / (k0 + float64(rank+1))
+		for rank, sg := range m.SuggestTerms(terms, pool) {
+			scores[sg.NodeID] += 1 / (ensembleK0 + float64(rank+1))
 			paths[sg.NodeID] = sg.Path
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"carcs/internal/material"
 	"carcs/internal/ontology"
 	"carcs/internal/pmap"
+	"carcs/internal/textproc"
 )
 
 // The incremental Observe/Forget paths must leave a long-lived model in the
@@ -82,7 +83,7 @@ func TestBayesObserveForgetMatchesRebuild(t *testing.T) {
 
 	// And the suggestions they produce must match exactly.
 	q := "parallel sorting of arrays with threads"
-	if !reflect.DeepEqual(inc.Suggest(q, 8), ref.Suggest(q, 8)) {
+	if !reflect.DeepEqual(inc.SuggestTerms(textproc.Terms(q), 8), ref.SuggestTerms(textproc.Terms(q), 8)) {
 		t.Error("suggestions diverged after Forget")
 	}
 }
@@ -98,7 +99,7 @@ func TestBayesForgetAllEmptiesModel(t *testing.T) {
 		b.Forget(m)
 	}
 	bayesStateEqual(t, b, NewBayes(o))
-	if got := b.Suggest("speedup of an openmp loop", 5); got != nil {
+	if got := b.SuggestTerms(textproc.Terms("speedup of an openmp loop"), 5); got != nil {
 		t.Errorf("empty model should suggest nothing, got %v", got)
 	}
 }

@@ -28,22 +28,14 @@ type Suggestion struct {
 }
 
 // Suggester proposes classification entries for a material description.
+// It scores analyzed text — textproc.Terms output — so a caller tokenizes
+// a document once and fans the term list across every engine and ontology.
 type Suggester interface {
-	// Suggest returns up to k suggestions for the text, best first.
-	Suggest(text string, k int) []Suggestion
+	// SuggestTerms returns up to k suggestions for the analyzed
+	// (tokenized, stopped, stemmed) terms, best first.
+	SuggestTerms(terms []string, k int) []Suggestion
 	// Name identifies the suggester in reports.
 	Name() string
-}
-
-// TermSuggester is a Suggester that can also score already-analyzed terms.
-// Bulk pipelines (the ingest auto-classifier) tokenize each document once
-// and fan the term list across every engine and ontology, instead of
-// paying the analyzer per engine per ontology.
-type TermSuggester interface {
-	Suggester
-	// SuggestTerms is Suggest for pre-analyzed (tokenized, stopped,
-	// stemmed) terms.
-	SuggestTerms(terms []string, k int) []Suggestion
 }
 
 // entryText renders an ontology entry as the text it is matched against:
@@ -79,12 +71,7 @@ func NewKeyword(o *ontology.Ontology) *Keyword {
 // Name implements Suggester.
 func (k *Keyword) Name() string { return "keyword" }
 
-// Suggest implements Suggester.
-func (k *Keyword) Suggest(text string, limit int) []Suggestion {
-	return k.SuggestTerms(textproc.Terms(text), limit)
-}
-
-// SuggestTerms implements TermSuggester.
+// SuggestTerms implements Suggester.
 func (k *Keyword) SuggestTerms(qterms []string, limit int) []Suggestion {
 	qset := make(map[string]bool)
 	for _, t := range qterms {
@@ -141,19 +128,10 @@ func NewTFIDF(o *ontology.Ontology) *TFIDF {
 // Name implements Suggester.
 func (t *TFIDF) Name() string { return "tfidf" }
 
-// Suggest implements Suggester.
-func (t *TFIDF) Suggest(text string, limit int) []Suggestion {
-	return t.similar(t.corpus.Query(text), limit)
-}
-
-// SuggestTerms implements TermSuggester.
+// SuggestTerms implements Suggester.
 func (t *TFIDF) SuggestTerms(terms []string, limit int) []Suggestion {
-	return t.similar(t.corpus.QueryTerms(terms), limit)
-}
-
-func (t *TFIDF) similar(q textproc.Vector, limit int) []Suggestion {
 	var out []Suggestion
-	for _, s := range t.corpus.Similar(q, limit) {
+	for _, s := range t.corpus.Similar(t.corpus.QueryTerms(terms), limit) {
 		out = append(out, Suggestion{NodeID: s.ID, Path: t.o.Path(s.ID), Score: s.Score})
 	}
 	return out
@@ -165,7 +143,7 @@ func (t *TFIDF) similar(q textproc.Vector, limit int) []Suggestion {
 
 // The keyword and TF-IDF suggesters are training-free — their entire state is
 // derived from the ontology at construction and never mutated afterwards
-// (Suggest only reads) — and the curriculum ontologies are process-wide
+// (SuggestTerms only reads) — and the curriculum ontologies are process-wide
 // singletons. Rebuilding them for every System is therefore pure waste: the
 // TF-IDF corpus alone tokenizes and vectorizes every classifiable entry path,
 // which dominated System construction in ingest profiles. Shared* memoizes
@@ -221,5 +199,5 @@ func top(s []Suggestion, k int) []Suggestion {
 
 // SuggestForMaterial runs a suggester over a material's search text.
 func SuggestForMaterial(s Suggester, m *material.Material, k int) []Suggestion {
-	return s.Suggest(m.SearchText(), k)
+	return s.SuggestTerms(textproc.Terms(m.SearchText()), k)
 }

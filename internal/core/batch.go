@@ -27,7 +27,7 @@ func (e *BatchItemError) Unwrap() error { return e.Err }
 
 // AddMaterials validates and stores a batch of materials as one commit:
 // every operation is journaled in a single durability round trip (one fsync
-// when the batch mutation hook is installed), the search index and the
+// under the durability layer's mutation hook), the search index and the
 // incremental models fold all N materials through one builder session each,
 // and a single generation bump + view publish covers the whole batch — the
 // amortization BENCH_2 showed the per-record pipeline paying for dearly.
@@ -70,7 +70,7 @@ func (s *System) AddMaterials(ms []*material.Material) error {
 	for i, m := range clones {
 		ops[i] = OpPayload{Op: OpAddMaterial, Payload: addMaterialPayload{Material: m}}
 	}
-	if err := s.batchHookLocked(ops); err != nil {
+	if err := s.hookLocked(ops...); err != nil {
 		return fmt.Errorf("core: add batch of %d: %w", len(clones), err)
 	}
 	s.applyAddBatchLocked(clones)

@@ -41,7 +41,7 @@ func addChunked(t *testing.T, ms []*material.Material, chunk int) *System {
 func snapshotString(t *testing.T, s *System) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -143,7 +143,7 @@ func TestAddMaterialsAllOrNothing(t *testing.T) {
 		t.Fatalf("invalid item: err = %v", err)
 	}
 
-	if s.Len() != 1 || s.Material("m-a") != nil || s.Material("m-c") != nil {
+	if s.Len() != 1 || s.View().Material("m-a") != nil || s.View().Material("m-c") != nil {
 		t.Errorf("refused batch leaked state: len=%d", s.Len())
 	}
 	if err := s.AddMaterials(nil); err != nil {

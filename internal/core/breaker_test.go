@@ -137,12 +137,12 @@ func TestWriteBreakerLifecycle(t *testing.T) {
 	}
 	defer abandon(p2)
 	for _, id := range []string{"ok-1", "ok-2", "ok-3"} {
-		if sys2.Material(id) == nil {
+		if sys2.View().Material(id) == nil {
 			t.Errorf("acknowledged material %s lost", id)
 		}
 	}
 	for _, id := range []string{"f-1", "f-2", "f-3", "f-4"} {
-		if sys2.Material(id) != nil {
+		if sys2.View().Material(id) != nil {
 			t.Errorf("failed write %s resurrected", id)
 		}
 	}

@@ -309,22 +309,18 @@ func tenantStamp(name string) string {
 	return name
 }
 
-// installHooks wires one workspace's mutation, batch, and workflow hooks to
-// the shared journal, stamped with its tenant.
+// installHooks wires one workspace's mutation hook — material, model and
+// workflow mutations alike — to the shared journal, stamped with its
+// tenant.
 func (p *Persister) installHooks(name string, sys *System) {
 	stamp := tenantStamp(name)
-	one := func(op string, data any) error {
-		return p.appendJournal([]journal.BatchOp{{Tenant: stamp, Op: op, Data: data}})
-	}
-	sys.SetMutationHook(one)
-	sys.SetBatchMutationHook(func(ops []OpPayload) error {
+	sys.SetMutationHook(func(ops []OpPayload) error {
 		bops := make([]journal.BatchOp, len(ops))
 		for i, op := range ops {
 			bops[i] = journal.BatchOp{Tenant: stamp, Op: op.Op, Data: op.Payload}
 		}
 		return p.appendJournal(bops)
 	})
-	sys.queue.SetHook(workflow.Hook(one))
 }
 
 // replayChunkBytes bounds the journaled payload bytes recovery applies per

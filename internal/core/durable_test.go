@@ -86,10 +86,10 @@ func TestDurableMutationsSurviveCrashWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer abandon(p2)
-	if sys2.Material("wal-a") != nil {
+	if sys2.View().Material("wal-a") != nil {
 		t.Error("removed material resurrected")
 	}
-	if sys2.Material("wal-b") == nil {
+	if sys2.View().Material("wal-b") == nil {
 		t.Error("journaled material lost")
 	}
 	if a, ok := sys2.Workflow().Account("alice"); !ok || a.Role != workflow.RoleSubmitter {
@@ -130,7 +130,7 @@ func TestDurableCheckpointTruncatesJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer abandon(p2)
-	if sys2.Material("cp-a") == nil || sys2.Material("cp-b") == nil {
+	if sys2.View().Material("cp-a") == nil || sys2.View().Material("cp-b") == nil {
 		t.Error("checkpointed or journaled material lost")
 	}
 }
@@ -167,7 +167,7 @@ func TestCrashRecoveryTornJournalRecord(t *testing.T) {
 	}
 	// Write-ahead ordering: the refused mutation must not be visible in
 	// memory either.
-	if sys.Material("torn") != nil {
+	if sys.View().Material("torn") != nil {
 		t.Fatal("mutation visible in memory although its journal write failed")
 	}
 	// The journal is now sticky-failed: further mutations are refused
@@ -183,14 +183,14 @@ func TestCrashRecoveryTornJournalRecord(t *testing.T) {
 	}
 	defer abandon(p2)
 	for _, id := range []string{"keep-1", "keep-2", "keep-3"} {
-		if sys2.Material(id) == nil {
+		if sys2.View().Material(id) == nil {
 			t.Errorf("fully-written mutation %s lost", id)
 		}
 	}
-	if got := sys2.Material("keep-2").ClassificationIDs(); !reflect.DeepEqual(got, []string{pdcEntry()}) {
+	if got := sys2.View().Material("keep-2").ClassificationIDs(); !reflect.DeepEqual(got, []string{pdcEntry()}) {
 		t.Errorf("reclassify lost: %v", got)
 	}
-	if sys2.Material("torn") != nil || sys2.Material("after-fault") != nil {
+	if sys2.View().Material("torn") != nil || sys2.View().Material("after-fault") != nil {
 		t.Error("partial or refused record applied on recovery")
 	}
 	// The torn bytes are gone from disk; new mutations append cleanly.
@@ -218,7 +218,7 @@ func TestCrashRecoverySyncFailure(t *testing.T) {
 	if err := sys.AddMaterial(testMat("unsynced", arrayEntry())); !errors.Is(err, journal.ErrFault) {
 		t.Fatalf("add with failing sync = %v, want injected fault", err)
 	}
-	if sys.Material("unsynced") != nil {
+	if sys.View().Material("unsynced") != nil {
 		t.Fatal("un-fsync'd mutation visible in memory")
 	}
 	abandon(p)
@@ -228,14 +228,14 @@ func TestCrashRecoverySyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer abandon(p2)
-	if sys2.Material("synced") == nil {
+	if sys2.View().Material("synced") == nil {
 		t.Error("synced mutation lost")
 	}
 	// The unsynced record's bytes did reach the (simulated) page cache and
 	// are complete, so recovery may legitimately surface it — the guarantee
 	// is only that the *caller* was told it did not commit. What recovery
 	// must never do is invent partial state.
-	if m := sys2.Material("unsynced"); m != nil && len(m.ClassificationIDs()) == 0 {
+	if m := sys2.View().Material("unsynced"); m != nil && len(m.ClassificationIDs()) == 0 {
 		t.Error("recovered record is partial")
 	}
 }
@@ -292,7 +292,7 @@ func TestDurableWorkflowRoundTrip(t *testing.T) {
 	if len(wf2.UnverifiedEdits()) != 0 {
 		t.Errorf("verified edit back in queue: %+v", wf2.UnverifiedEdits())
 	}
-	if sys2.Material("flow-1") == nil {
+	if sys2.View().Material("flow-1") == nil {
 		t.Error("installed material lost")
 	}
 }
@@ -374,7 +374,7 @@ func TestDurableRestartKeepsBloomLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Reclassify(sys.Materials("peachy")[0].ID, []material.Classification{
+	if err := sys.Reclassify(sys.View().Materials("peachy")[0].ID, []material.Classification{
 		{NodeID: pdcEntry(), Bloom: ontology.BloomKnow},
 	}); err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func (s *System) learnedOntologies() []*ontology.Ontology {
 func (s *System) TrainLearned(p learn.Params) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.hookLocked(OpLearnTrain, learnTrainPayload{Params: p}); err != nil {
+	if err := s.hookLocked(OpPayload{Op: OpLearnTrain, Payload: learnTrainPayload{Params: p}}); err != nil {
 		return fmt.Errorf("core: train: %w", err)
 	}
 	s.applyLearnTrainLocked(p)
@@ -120,7 +120,7 @@ func (s *System) LearnFromReview(m *material.Material, accepted bool) error {
 	if !trained {
 		return nil
 	}
-	if err := s.hookLocked(OpLearnUpdate, p); err != nil {
+	if err := s.hookLocked(OpPayload{Op: OpLearnUpdate, Payload: p}); err != nil {
 		return fmt.Errorf("core: learn from review: %w", err)
 	}
 	s.applyLearnUpdateLocked(p)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"carcs/internal/learn"
@@ -23,7 +24,7 @@ func TestTrainLearnedAndSuggest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before training: the method is valid but silent, and stats say so.
-	if sugg, err := s.Suggest("learned", "pdc12", "openmp speedup", 5); err != nil || sugg != nil {
+	if sugg, err := s.View().Suggest(context.Background(), "learned", "pdc12", "openmp speedup", 5); err != nil || sugg != nil {
 		t.Fatalf("untrained learned suggest = %v, %v; want nil, nil", sugg, err)
 	}
 	st := s.LearnStats()
@@ -50,7 +51,7 @@ func TestTrainLearnedAndSuggest(t *testing.T) {
 		t.Fatal("last-train generation not recorded")
 	}
 
-	sugg, err := s.Suggest("learned", "pdc12", "students parallelize a loop with OpenMP and measure speedup", 5)
+	sugg, err := s.View().Suggest(context.Background(), "learned", "pdc12", "students parallelize a loop with OpenMP and measure speedup", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTrainLearnedAndSuggest(t *testing.T) {
 		}
 	}
 	// The ensemble accepts the trained member without erroring.
-	if _, err := s.Suggest("ensemble", "cs13", "sorting arrays with loops", 5); err != nil {
+	if _, err := s.View().Suggest(context.Background(), "ensemble", "cs13", "sorting arrays with loops", 5); err != nil {
 		t.Fatal(err)
 	}
 

@@ -77,7 +77,7 @@ func goldenEdits(t *testing.T, s *System) {
 		}
 	}
 	must(s.AddMaterial(testMat("golden-orphan", goldenOrphanEntry)))
-	ms := s.Materials("")
+	ms := s.View().Materials("")
 	must(s.RemoveMaterial(ms[1].ID))
 	must(s.RemoveMaterial(ms[4].ID))
 	must(s.RemoveMaterial("golden-orphan"))
@@ -85,7 +85,7 @@ func goldenEdits(t *testing.T, s *System) {
 		{NodeID: goldenFilesEntry, Bloom: ontology.BloomComprehend},
 		{NodeID: arrayEntry(), Bloom: ontology.BloomKnow},
 	}))
-	for _, m := range s.Materials("itcs3145") {
+	for _, m := range s.View().Materials("itcs3145") {
 		if ratedCount([]*material.Material{m}) > 0 {
 			must(s.Reclassify(m.ID, []material.Classification{{NodeID: m.Classifications[0].NodeID}}))
 			break
@@ -160,13 +160,13 @@ func removedAndReclassified(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := s.Materials("")
+	ms := s.View().Materials("")
 	for i := 0; i < len(ms); i += 3 {
 		if err := s.RemoveMaterial(ms[i].ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ms = s.Materials("")
+	ms = s.View().Materials("")
 	for i := 0; i < len(ms); i += 5 {
 		if err := s.Reclassify(ms[i].ID, []material.Classification{
 			{NodeID: goldenFlynnEntry, Bloom: ontology.BloomApply},
@@ -187,7 +187,7 @@ func TestStatsLiveMatchesRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live, restored := s.ComputeStats(), r.ComputeStats(); !reflect.DeepEqual(live, restored) {
+	if live, restored := s.View().Stats(), r.View().Stats(); !reflect.DeepEqual(live, restored) {
 		t.Errorf("stats diverged across restore:\n live %+v\nrestored %+v", live, restored)
 	}
 }
@@ -211,7 +211,7 @@ func tamperedStores(tb testing.TB) []tamperCase {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	tamper := func(name, want string, edit func(tables map[string]map[string]any, doc map[string]any)) tamperCase {

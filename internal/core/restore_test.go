@@ -81,7 +81,7 @@ func TestRestoreDanglingClassificationLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Point the material's classification link at an entry row that does
@@ -113,7 +113,7 @@ func TestRestoreInvalidMaterialRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Blank the material's kind so validation fails during reconstruction.
@@ -136,24 +136,24 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := s.AddMaterial(testMat("rt-extra", arrayEntry())); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RemoveMaterial(s.Materials("nifty")[0].ID); err != nil {
+	if err := s.RemoveMaterial(s.View().Materials("nifty")[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Materials("")
-	got := r.Materials("")
+	want := s.View().Materials("")
+	got := r.View().Materials("")
 	if len(got) != len(want) {
 		t.Fatalf("restored %d materials, want %d", len(got), len(want))
 	}
 	for _, wm := range want {
-		gm := r.Material(wm.ID)
+		gm := r.View().Material(wm.ID)
 		if gm == nil {
 			t.Errorf("material %s lost in round trip", wm.ID)
 			continue
@@ -178,14 +178,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// The relational bookkeeping must agree too.
-	ws, rs := s.ComputeStats(), r.ComputeStats()
+	ws, rs := s.View().Stats(), r.View().Stats()
 	if ws.Materials != rs.Materials || ws.Links != rs.Links {
 		t.Errorf("stats diverged: %+v vs %+v", ws, rs)
 	}
 	// And a second snapshot of the restored system is byte-identical —
 	// snapshotting is deterministic over equal logical state.
 	var buf2 bytes.Buffer
-	if err := r.Snapshot(&buf2); err != nil {
+	if err := r.View().Snapshot(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := Restore(bytes.NewReader(buf2.Bytes()))
@@ -193,7 +193,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf3 bytes.Buffer
-	if err := r2.Snapshot(&buf3); err != nil {
+	if err := r2.View().Snapshot(&buf3); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
@@ -210,12 +210,12 @@ func TestRestoreKeepsBloomLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reclassify(s.Materials("nifty")[0].ID, []material.Classification{
+	if err := s.Reclassify(s.View().Materials("nifty")[0].ID, []material.Classification{
 		{NodeID: arrayEntry(), Bloom: ontology.BloomApply},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range s.Materials("itcs3145") {
+	for _, m := range s.View().Materials("itcs3145") {
 		if ratedCount([]*material.Material{m}) > 0 {
 			if err := s.Reclassify(m.ID, []material.Classification{{NodeID: arrayEntry()}}); err != nil {
 				t.Fatal(err)
@@ -228,7 +228,7 @@ func TestRestoreKeepsBloomLevels(t *testing.T) {
 		t.Fatalf("test setup: only %d rated classifications", ratedCount(want))
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Restore(&buf)
@@ -236,11 +236,11 @@ func TestRestoreKeepsBloomLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameMaterials(t, canonMaterials(r), want)
-	wd, err := s.DepthReport("pdc12", "itcs3145")
+	wd, err := s.View().DepthReport("pdc12", "itcs3145")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := r.DepthReport("pdc12", "itcs3145")
+	gd, err := r.View().DepthReport("pdc12", "itcs3145")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRestoreWithoutBloomColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var snap map[string]any
@@ -318,13 +318,13 @@ func TestRestoreMatchesSequentialAdds(t *testing.T) {
 	if err := s.AddMaterials(corpus.Synthetic(corpus.SyntheticOptions{N: 60, Seed: 5}).All()); err != nil {
 		t.Fatal(err)
 	}
-	ms := s.Materials("")
+	ms := s.View().Materials("")
 	for i := 0; i < len(ms); i += 7 {
 		if err := s.RemoveMaterial(ms[i].ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ms = s.Materials("")
+	ms = s.View().Materials("")
 	for i := 3; i < len(ms); i += 11 {
 		if err := s.Reclassify(ms[i].ID, []material.Classification{
 			{NodeID: arrayEntry(), Bloom: ontology.BloomComprehend},
@@ -333,7 +333,7 @@ func TestRestoreMatchesSequentialAdds(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 

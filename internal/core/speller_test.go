@@ -38,7 +38,7 @@ func TestLiveSpellerMatchesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed := live.Material("hurricane-tracker")
+	removed := live.View().Material("hurricane-tracker")
 	if removed == nil {
 		t.Fatal("seed corpus lacks hurricane-tracker")
 	}
@@ -46,7 +46,7 @@ func TestLiveSpellerMatchesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	texts := []string{removed.SearchText()}
-	ms := live.Materials("")
+	ms := live.View().Materials("")
 	for i := 0; i < 12; i++ {
 		m, donor := ms[i*5], ms[i*5+1]
 		if err := live.Reclassify(m.ID, donor.Classifications); err != nil {
@@ -55,7 +55,7 @@ func TestLiveSpellerMatchesRestore(t *testing.T) {
 		texts = append(texts, m.SearchText())
 	}
 	var buf bytes.Buffer
-	if err := live.Snapshot(&buf); err != nil {
+	if err := live.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := Restore(&buf)

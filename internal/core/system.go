@@ -7,17 +7,17 @@
 // RemoveMaterial, Reclassify — serializes mutations under a single mutex:
 // each journals through the durability hook, applies to the live containers,
 // and atomically publishes a new immutable View. The read model — View,
-// obtained from System.View() — is a frozen snapshot of every container
-// pinned at one generation; reads on it take no locks and never observe a
-// concurrent commit. Containers use persistent (copy-on-write) structures,
-// so publishing a view costs O(changed materials), not a copy of the data.
-// Each material is held once, by the search engine; checkpoints write the
-// paper's relational form from a View (see persist.go).
+// obtained from System.View() — answers every read: it is a frozen snapshot
+// of every container pinned at one generation; reads on it take no locks
+// and never observe a concurrent commit. Containers use persistent
+// (copy-on-write) structures, so publishing a view costs O(changed
+// materials), not a copy of the data. Each material is held once, by the
+// search engine; checkpoints write the paper's relational form from a View
+// (see persist.go).
 package core
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,12 +25,10 @@ import (
 	"carcs/internal/cache"
 	"carcs/internal/classify"
 	"carcs/internal/corpus"
-	"carcs/internal/coverage"
 	"carcs/internal/learn"
 	"carcs/internal/material"
 	"carcs/internal/ontology"
 	"carcs/internal/search"
-	"carcs/internal/similarity"
 	"carcs/internal/textproc"
 	"carcs/internal/workflow"
 )
@@ -92,9 +90,6 @@ type System struct {
 	// hook, when set, journals every mutation before it commits (see
 	// MutationHook). Guarded by mu.
 	hook MutationHook
-	// batchHook, when set, journals a whole batch of mutations in one
-	// durability round trip (see BatchMutationHook). Guarded by mu.
-	batchHook BatchMutationHook
 
 	// limit, when positive, caps the number of stored materials
 	// (workspace quota). Enforced only on the public mutation paths —
@@ -132,60 +127,42 @@ func (s *System) quotaRoomLocked(n int) error {
 	return nil
 }
 
-// MutationHook observes a mutation before it commits. The durability layer
-// installs one that appends the operation to the write-ahead log; if the
-// hook fails, the mutation is refused, so no accepted write can outlive the
-// journal. The hook runs with the system's mutation lock held.
-type MutationHook func(op string, payload any) error
-
-// OpPayload is one not-yet-journaled operation inside a batch mutation.
+// OpPayload is one not-yet-journaled operation of a mutation.
 type OpPayload struct {
 	Op      string
 	Payload any
 }
 
-// BatchMutationHook journals every operation of a batch mutation before any
-// of it commits — the durability layer appends them all with one fsync. Like
-// MutationHook it runs with the system's mutation lock held, and a failure
-// refuses the whole batch.
-type BatchMutationHook func(ops []OpPayload) error
+// MutationHook journals every operation of a mutation before any of it
+// commits. The durability layer installs one that appends them to the
+// write-ahead log in one durability round trip (one fsync); if the hook
+// fails, the whole mutation is refused, so no accepted write can outlive
+// the journal. A single mutation is a one-op batch. The hook runs with the
+// system's mutation lock held, or, for a curation queue transition, with
+// the queue's lock held.
+type MutationHook func(ops []OpPayload) error
 
-// SetMutationHook installs (or, with nil, removes) the mutation hook.
+// SetMutationHook installs (or, with nil, removes) the mutation hook, for
+// the system's own mutations and its curation queue's transitions alike.
 func (s *System) SetMutationHook(h MutationHook) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hook = h
+	if h == nil {
+		s.queue.SetHook(nil)
+		return
+	}
+	s.queue.SetHook(func(op string, payload any) error {
+		return h([]OpPayload{{Op: op, Payload: payload}})
+	})
 }
 
-// SetBatchMutationHook installs (or, with nil, removes) the batch mutation
-// hook. Without one, batch mutations fall back to journaling through the
-// per-op MutationHook.
-func (s *System) SetBatchMutationHook(h BatchMutationHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.batchHook = h
-}
-
-func (s *System) hookLocked(op string, payload any) error {
+// hookLocked journals the operations of one mutation. Callers hold mu.
+func (s *System) hookLocked(ops ...OpPayload) error {
 	if s.hook == nil {
 		return nil
 	}
-	return s.hook(op, payload)
-}
-
-// batchHookLocked journals a batch of operations: through the batch hook
-// when one is installed (one fsync for the whole slice), else op-by-op
-// through the per-mutation hook.
-func (s *System) batchHookLocked(ops []OpPayload) error {
-	if s.batchHook != nil {
-		return s.batchHook(ops)
-	}
-	for _, op := range ops {
-		if err := s.hookLocked(op.Op, op.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.hook(ops)
 }
 
 // New creates an empty CAR-CS system bound to the CS13 and PDC12 curricula.
@@ -355,7 +332,7 @@ func (s *System) AddMaterial(m *material.Material) error {
 	if err := s.quotaRoomLocked(1); err != nil {
 		return fmt.Errorf("core: add %q: %w", m.ID, err)
 	}
-	if err := s.hookLocked(OpAddMaterial, addMaterialPayload{Material: m}); err != nil {
+	if err := s.hookLocked(OpPayload{Op: OpAddMaterial, Payload: addMaterialPayload{Material: m}}); err != nil {
 		return fmt.Errorf("core: add %q: %w", m.ID, err)
 	}
 	s.applyAddLocked(m)
@@ -383,7 +360,7 @@ func (s *System) RemoveMaterial(id string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.hookLocked(OpRemoveMaterial, removeMaterialPayload{ID: id}); err != nil {
+	if err := s.hookLocked(OpPayload{Op: OpRemoveMaterial, Payload: removeMaterialPayload{ID: id}}); err != nil {
 		return fmt.Errorf("core: remove %q: %w", id, err)
 	}
 	s.applyRemoveLocked(m)
@@ -474,7 +451,7 @@ func (s *System) Reclassify(id string, cls []material.Classification) error {
 	if err != nil {
 		return err
 	}
-	if err := s.hookLocked(OpReclassify, reclassifyPayload{ID: id, Classifications: cls}); err != nil {
+	if err := s.hookLocked(OpPayload{Op: OpReclassify, Payload: reclassifyPayload{ID: id, Classifications: cls}}); err != nil {
 		return fmt.Errorf("core: reclassify %q: %w", id, err)
 	}
 	s.applyReclassifyLocked(prev, next)
@@ -493,22 +470,6 @@ func (s *System) applyReclassifyLocked(prev, next *material.Material) {
 	s.observeLocked(next, terms)
 }
 
-// The methods below are conveniences that resolve the current view and
-// answer from it. Callers making several related reads should resolve one
-// View themselves so all reads pin the same generation.
-
-// Material returns the stored material with the given id, or nil.
-func (s *System) Material(id string) *material.Material { return s.View().Material(id) }
-
-// Materials returns all stored materials, optionally filtered by collection
-// name (empty for all), in insertion order.
-func (s *System) Materials(collection string) []*material.Material {
-	return s.View().Materials(collection)
-}
-
-// Collections lists the distinct collection names present, sorted.
-func (s *System) Collections() []string { return s.View().Collections() }
-
 // Len returns the number of stored materials.
 func (s *System) Len() int { return s.View().Len() }
 
@@ -520,64 +481,3 @@ func (s *System) ontologyKey(o *ontology.Ontology) string {
 	}
 	return "pdc12"
 }
-
-// Coverage computes the Figure 2 report through the current view.
-func (s *System) Coverage(ontologyName, collection string) (*coverage.Report, error) {
-	return s.View().Coverage(ontologyName, collection)
-}
-
-// DepthReport computes the Bloom-level depth report through the current view.
-func (s *System) DepthReport(ontologyName, collection string) (*coverage.DepthReport, error) {
-	return s.View().DepthReport(ontologyName, collection)
-}
-
-// GapReport returns the uncovered-subtree analysis through the current view.
-func (s *System) GapReport(ontologyName, collection string, coreOnly bool) ([]coverage.Gap, error) {
-	return s.View().GapReport(ontologyName, collection, coreOnly)
-}
-
-// SimilarityGraph builds the Figure 3 graph through the current view.
-func (s *System) SimilarityGraph(leftCollection, rightCollection string, threshold int) *similarity.Graph {
-	return s.View().SimilarityGraph(leftCollection, rightCollection, threshold)
-}
-
-// Suggest proposes classification entries through the current view.
-func (s *System) Suggest(method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
-	return s.View().Suggest(method, ontologyName, text, k)
-}
-
-// SuggestDirect computes suggestions through the current view without
-// consulting or filling the result cache.
-func (s *System) SuggestDirect(method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
-	return s.View().SuggestDirect(method, ontologyName, text, k)
-}
-
-// Recommend proposes co-occurring classification entries through the
-// current view.
-func (s *System) Recommend(selected []string, k int) []classify.Rule {
-	return s.View().Recommend(selected, k)
-}
-
-// PDCReplacements is the Sec. IV-D query through the current view.
-func (s *System) PDCReplacements(id string, k int) ([]similarity.Edge, error) {
-	return s.View().PDCReplacements(id, k)
-}
-
-// Snapshot writes the current view's materials in the checkpoint's
-// relational form (see View.Snapshot).
-func (s *System) Snapshot(w io.Writer) error { return s.View().Snapshot(w) }
-
-// Stats summarizes the system for the CLI and the server's status endpoint.
-type Stats struct {
-	Materials   int
-	Collections []string
-	// Entries counts the distinct classification entries in use, Links
-	// the (material, entry) classifications.
-	Entries   int
-	Links     int
-	CS13Size  int
-	PDC12Size int
-}
-
-// ComputeStats gathers the summary from the current view.
-func (s *System) ComputeStats() Stats { return s.View().Stats() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,10 +42,10 @@ func TestAddRemoveMaterial(t *testing.T) {
 	if err := s.AddMaterial(testMat("m-bad", "nowhere/at/all")); err == nil {
 		t.Error("dangling classification accepted")
 	}
-	if s.Len() != 1 || s.Material("m-one") == nil {
+	if s.Len() != 1 || s.View().Material("m-one") == nil {
 		t.Fatal("material not stored")
 	}
-	st := s.ComputeStats()
+	st := s.View().Stats()
 	if st.Materials != 1 || st.Entries != 1 || st.Links != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -54,7 +55,7 @@ func TestAddRemoveMaterial(t *testing.T) {
 	if err := s.RemoveMaterial("m-one"); err == nil {
 		t.Error("double remove accepted")
 	}
-	if s.Len() != 0 || s.ComputeStats().Links != 0 {
+	if s.Len() != 0 || s.View().Stats().Links != 0 {
 		t.Error("links survived removal")
 	}
 }
@@ -72,18 +73,18 @@ func TestReclassify(t *testing.T) {
 		t.Error("invalid reclassification accepted")
 	}
 	// Failed reclassify must leave the old classification intact.
-	if got := s.Material("m").ClassificationIDs(); !reflect.DeepEqual(got, []string{arrayEntry()}) {
+	if got := s.View().Material("m").ClassificationIDs(); !reflect.DeepEqual(got, []string{arrayEntry()}) {
 		t.Fatalf("classifications after failed reclassify = %v", got)
 	}
 	if err := s.Reclassify("m", []material.Classification{{NodeID: loops}}); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Material("m").ClassificationIDs()
+	got := s.View().Material("m").ClassificationIDs()
 	if !reflect.DeepEqual(got, []string{loops}) {
 		t.Errorf("classifications = %v", got)
 	}
-	if s.ComputeStats().Links != 1 {
-		t.Errorf("links = %d", s.ComputeStats().Links)
+	if s.View().Stats().Links != 1 {
+		t.Errorf("links = %d", s.View().Stats().Links)
 	}
 }
 
@@ -95,37 +96,37 @@ func TestSeededSystem(t *testing.T) {
 	if s.Len() < 90 {
 		t.Errorf("seeded size = %d", s.Len())
 	}
-	if got := s.Collections(); !reflect.DeepEqual(got, []string{"itcs3145", "nifty", "peachy"}) {
+	if got := s.View().Collections(); !reflect.DeepEqual(got, []string{"itcs3145", "nifty", "peachy"}) {
 		t.Errorf("collections = %v", got)
 	}
-	if len(s.Materials("peachy")) != 11 {
-		t.Errorf("peachy = %d", len(s.Materials("peachy")))
+	if len(s.View().Materials("peachy")) != 11 {
+		t.Errorf("peachy = %d", len(s.View().Materials("peachy")))
 	}
-	if len(s.Materials("")) != s.Len() {
+	if len(s.View().Materials("")) != s.Len() {
 		t.Error("Materials(\"\") size mismatch")
 	}
 }
 
 func TestCoverageAndSimilarityFacade(t *testing.T) {
 	s, _ := NewSeeded()
-	r, err := s.Coverage("cs13", "nifty")
+	r, err := s.View().Coverage("cs13", "nifty")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top := r.TopAreas(1); len(top) != 1 || top[0] != "SDF" {
 		t.Errorf("nifty top = %v", top)
 	}
-	if _, err := s.Coverage("nope", ""); err == nil {
+	if _, err := s.View().Coverage("nope", ""); err == nil {
 		t.Error("unknown ontology accepted")
 	}
-	all, err := s.Coverage("pdc12", "")
+	all, err := s.View().Coverage("pdc12", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.Collection != "all materials" {
 		t.Errorf("label = %q", all.Collection)
 	}
-	g := s.SimilarityGraph("nifty", "peachy", 2)
+	g, _ := s.View().SimilarityGraph(context.Background(), "nifty", "peachy", 2)
 	if len(g.Edges) != 24 { // 4 named peachy x 6 named nifty
 		t.Errorf("fig3 edges = %d, want 24", len(g.Edges))
 	}
@@ -134,7 +135,7 @@ func TestCoverageAndSimilarityFacade(t *testing.T) {
 func TestSuggestAndRecommendFacade(t *testing.T) {
 	s, _ := NewSeeded()
 	for _, method := range []string{"keyword", "tfidf", "bayes", "ensemble", ""} {
-		sugg, err := s.Suggest(method, "cs13", "iterate over arrays of pixels in an image", 5)
+		sugg, err := s.View().Suggest(context.Background(), method, "cs13", "iterate over arrays of pixels in an image", 5)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -142,21 +143,21 @@ func TestSuggestAndRecommendFacade(t *testing.T) {
 			t.Errorf("%s: no suggestions", method)
 		}
 	}
-	if _, err := s.Suggest("oracle", "cs13", "x", 5); err == nil {
+	if _, err := s.View().Suggest(context.Background(), "oracle", "cs13", "x", 5); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := s.Suggest("tfidf", "ghost", "x", 5); err == nil {
+	if _, err := s.View().Suggest(context.Background(), "tfidf", "ghost", "x", 5); err == nil {
 		t.Error("unknown ontology accepted")
 	}
-	recs := s.Recommend([]string{arrayEntry()}, 5)
+	recs := s.View().Recommend([]string{arrayEntry()}, 5)
 	if len(recs) == 0 {
 		t.Error("no recommendations")
 	}
-	reps, err := s.PDCReplacements("uno", 0)
+	reps, err := s.View().PDCReplacements("uno", 0)
 	if err != nil || len(reps) < 4 {
 		t.Errorf("uno replacements = %v, %v", reps, err)
 	}
-	if _, err := s.PDCReplacements("ghost", 0); err == nil {
+	if _, err := s.View().PDCReplacements("ghost", 0); err == nil {
 		t.Error("unknown material accepted")
 	}
 }
@@ -164,7 +165,7 @@ func TestSuggestAndRecommendFacade(t *testing.T) {
 func TestSnapshotRestoreSystem(t *testing.T) {
 	s, _ := NewSeeded()
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := s.View().Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Restore(bytes.NewReader(buf.Bytes()))
@@ -174,8 +175,8 @@ func TestSnapshotRestoreSystem(t *testing.T) {
 	if back.Len() != s.Len() {
 		t.Fatalf("restored %d materials, want %d", back.Len(), s.Len())
 	}
-	for _, m := range s.Materials("") {
-		bm := back.Material(m.ID)
+	for _, m := range s.View().Materials("") {
+		bm := back.View().Material(m.ID)
 		if bm == nil {
 			t.Fatalf("lost %q", m.ID)
 		}
@@ -187,7 +188,7 @@ func TestSnapshotRestoreSystem(t *testing.T) {
 		}
 	}
 	// The restored system reproduces Figure 3.
-	g := back.SimilarityGraph("nifty", "peachy", 2)
+	g, _ := back.View().SimilarityGraph(context.Background(), "nifty", "peachy", 2)
 	if len(g.Edges) != 24 {
 		t.Errorf("restored fig3 edges = %d", len(g.Edges))
 	}

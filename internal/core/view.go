@@ -16,6 +16,7 @@ import (
 	"carcs/internal/ontology"
 	"carcs/internal/search"
 	"carcs/internal/similarity"
+	"carcs/internal/textproc"
 )
 
 // View is one immutable snapshot of the system: every container it holds
@@ -52,6 +53,15 @@ func (v *View) PDC12() *ontology.Ontology { return v.sys.pdc12 }
 // OntologyByName resolves "cs13" or "pdc12" (case-insensitive), else nil.
 func (v *View) OntologyByName(name string) *ontology.Ontology {
 	return v.sys.OntologyByName(name)
+}
+
+// ontology resolves an ontology name like OntologyByName, erring on an
+// unknown one.
+func (v *View) ontology(name string) (*ontology.Ontology, error) {
+	if o := v.sys.OntologyByName(name); o != nil {
+		return o, nil
+	}
+	return nil, fmt.Errorf("core: unknown ontology %q", name)
 }
 
 // Material returns the material with the given id at this generation.
@@ -124,9 +134,9 @@ func (v *View) Coverage(ontologyName, collection string) (*coverage.Report, erro
 // CoverageCtx is Coverage with cooperative cancellation threaded into the
 // sharded scan, so a shed or timed-out request stops computing promptly.
 func (v *View) CoverageCtx(ctx context.Context, ontologyName, collection string) (*coverage.Report, error) {
-	o := v.sys.OntologyByName(ontologyName)
-	if o == nil {
-		return nil, fmt.Errorf("core: unknown ontology %q", ontologyName)
+	o, err := v.ontology(ontologyName)
+	if err != nil {
+		return nil, err
 	}
 	key := cache.Key("coverage", v.sys.ontologyKey(o), collection)
 	res, err := v.doCached(ctx, key, func() (any, error) {
@@ -146,12 +156,12 @@ func (v *View) CoverageCtx(ctx context.Context, ontologyName, collection string)
 // DepthReport computes the Bloom-level depth report (the Sec. IV-A proposed
 // extension), memoized per generation.
 func (v *View) DepthReport(ontologyName, collection string) (*coverage.DepthReport, error) {
-	o := v.sys.OntologyByName(ontologyName)
-	if o == nil {
-		return nil, fmt.Errorf("core: unknown ontology %q", ontologyName)
+	o, err := v.ontology(ontologyName)
+	if err != nil {
+		return nil, err
 	}
 	key := cache.Key("depth", v.sys.ontologyKey(o), collection)
-	res, err := v.sys.results.Do(key, v.gen, func() (any, error) {
+	res, err := v.doCached(context.Background(), key, func() (any, error) {
 		return coverage.ComputeDepth(o, v.Materials(collection)), nil
 	})
 	if err != nil {
@@ -162,14 +172,9 @@ func (v *View) DepthReport(ontologyName, collection string) (*coverage.DepthRepo
 
 // GapReport returns the uncovered-subtree analysis of a collection against
 // an ontology, optionally restricted to core-tier gaps, memoized per
-// generation on top of the (also memoized) coverage report.
-func (v *View) GapReport(ontologyName, collection string, coreOnly bool) ([]coverage.Gap, error) {
-	return v.GapReportCtx(context.Background(), ontologyName, collection, coreOnly)
-}
-
-// GapReportCtx is GapReport with cooperative cancellation threaded into the
-// underlying coverage scan.
-func (v *View) GapReportCtx(ctx context.Context, ontologyName, collection string, coreOnly bool) ([]coverage.Gap, error) {
+// generation on top of the (also memoized) coverage report. ctx cancels
+// the underlying coverage scan.
+func (v *View) GapReport(ctx context.Context, ontologyName, collection string, coreOnly bool) ([]coverage.Gap, error) {
 	rep, err := v.CoverageCtx(ctx, ontologyName, collection)
 	if err != nil {
 		return nil, err
@@ -189,23 +194,9 @@ func (v *View) GapReportCtx(ctx context.Context, ontologyName, collection string
 
 // SimilarityGraph builds the Figure 3 bipartite graph between two
 // collections with the paper's shared-count metric at the given threshold
-// (2 in the paper), memoized per generation.
-func (v *View) SimilarityGraph(leftCollection, rightCollection string, threshold int) *similarity.Graph {
-	g, err := v.SimilarityGraphCtx(context.Background(), leftCollection, rightCollection, threshold)
-	if err != nil {
-		// Only reachable if the shared flight was poisoned by cancelled
-		// peers three times in a row; compute uncached rather than fail a
-		// caller that has no error path.
-		g, _ = similarity.BuildBipartiteCtx(context.Background(),
-			v.Materials(leftCollection), v.Materials(rightCollection),
-			similarity.SharedCount, float64(threshold))
-	}
-	return g
-}
-
-// SimilarityGraphCtx is SimilarityGraph with cooperative cancellation
-// threaded into the sharded pair scoring.
-func (v *View) SimilarityGraphCtx(ctx context.Context, leftCollection, rightCollection string, threshold int) (*similarity.Graph, error) {
+// (2 in the paper), memoized per generation. ctx cancels the sharded pair
+// scoring.
+func (v *View) SimilarityGraph(ctx context.Context, leftCollection, rightCollection string, threshold int) (*similarity.Graph, error) {
 	key := cache.Key("similarity", leftCollection, rightCollection, strconv.Itoa(threshold))
 	res, err := v.doCached(ctx, key, func() (any, error) {
 		left := v.Materials(leftCollection)
@@ -218,30 +209,75 @@ func (v *View) SimilarityGraphCtx(ctx context.Context, leftCollection, rightColl
 	return res.(*similarity.Graph), nil
 }
 
-// Suggest proposes classification entries for free text against the named
-// ontology using the requested method ("keyword", "tfidf", "bayes",
-// "learned", or "ensemble"), over the models pinned in this view. Results
-// are memoized
-// per (query, generation).
-func (v *View) Suggest(method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
-	return v.SuggestCtx(context.Background(), method, ontologyName, text, k)
+// suggestEngines is the one mapping from a suggestion method's name to its
+// engine over a view's pinned models. The training-free engines are shared
+// (built once at system construction, read-only); the Bayes and learned
+// models are the view's frozen snapshots, so no locking is needed anywhere.
+// A nil or untrained learned model suggests nothing rather than erroring,
+// like an untrained Bayes: the method exists as soon as the binary does,
+// the answers arrive after the first train.
+var suggestEngines = []struct {
+	name   string
+	engine func(v *View, o *ontology.Ontology) classify.Suggester
+}{
+	{"tfidf", func(v *View, o *ontology.Ontology) classify.Suggester { return v.sys.sug[o].tfidf }},
+	{"keyword", func(v *View, o *ontology.Ontology) classify.Suggester { return v.sys.sug[o].keyword }},
+	{"bayes", func(v *View, o *ontology.Ontology) classify.Suggester { return v.bayes[o] }},
+	{"learned", func(v *View, o *ontology.Ontology) classify.Suggester { return v.learned[o] }},
+	{"ensemble", func(v *View, o *ontology.Ontology) classify.Suggester {
+		return classify.NewEnsemble(v.ensembleMembers(o)...)
+	}},
 }
 
-// SuggestCtx is Suggest with a cancellation check between ensemble members,
-// so a shed or timed-out request pays for at most one engine's pass.
-func (v *View) SuggestCtx(ctx context.Context, method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
-	o := v.sys.OntologyByName(ontologyName)
-	if o == nil {
-		return nil, fmt.Errorf("core: unknown ontology %q", ontologyName)
+// SuggestMethods names every suggestion method Suggest accepts; the empty
+// method means the first, "tfidf".
+var SuggestMethods = func() []string {
+	names := make([]string, len(suggestEngines))
+	for i, e := range suggestEngines {
+		names[i] = e.name
 	}
-	switch method {
-	case "", "tfidf", "keyword", "bayes", "learned", "ensemble":
-	default:
-		return nil, fmt.Errorf("core: unknown suggester %q", method)
+	return names
+}()
+
+// suggester resolves a method name ("" for the default) to its engine for
+// ontology o in this view.
+func (v *View) suggester(method string, o *ontology.Ontology) (classify.Suggester, error) {
+	if method == "" {
+		method = suggestEngines[0].name
+	}
+	for _, e := range suggestEngines {
+		if e.name == method {
+			return e.engine(v, o), nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown suggester %q", method)
+}
+
+// suggestTerms scores analyzed terms with one engine. The ensemble checks
+// ctx between members, so a shed or timed-out request pays for at most one
+// member's pass.
+func suggestTerms(ctx context.Context, eng classify.Suggester, terms []string, k int) ([]classify.Suggestion, error) {
+	if ens, ok := eng.(*classify.Ensemble); ok {
+		return ens.SuggestTermsCtx(ctx, terms, k)
+	}
+	return eng.SuggestTerms(terms, k), nil
+}
+
+// Suggest proposes classification entries for free text against the named
+// ontology using the requested method (one of SuggestMethods), over the
+// models pinned in this view. Results are memoized per (query, generation).
+func (v *View) Suggest(ctx context.Context, method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
+	o, err := v.ontology(ontologyName)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := v.suggester(method, o)
+	if err != nil {
+		return nil, err
 	}
 	key := cache.Key("suggest", method, v.sys.ontologyKey(o), strconv.Itoa(k), text)
 	res, err := v.doCached(ctx, key, func() (any, error) {
-		return v.suggestCtx(ctx, method, o, text, k)
+		return suggestTerms(ctx, eng, textproc.Terms(text), k)
 	})
 	if err != nil {
 		return nil, err
@@ -250,75 +286,26 @@ func (v *View) SuggestCtx(ctx context.Context, method, ontologyName, text string
 }
 
 // SuggestDirect computes suggestions without consulting or filling the
-// result cache. Bulk pipelines (the ingest auto-classifier) use it: their
-// queries never repeat, and each of their own commits bumps the generation,
-// so caching the results would only pile up dead entries.
+// result cache. Bulk pipelines use it: their queries never repeat, and each
+// of their own commits bumps the generation, so caching the results would
+// only pile up dead entries.
 func (v *View) SuggestDirect(method, ontologyName, text string, k int) ([]classify.Suggestion, error) {
-	o := v.sys.OntologyByName(ontologyName)
-	if o == nil {
-		return nil, fmt.Errorf("core: unknown ontology %q", ontologyName)
-	}
-	switch method {
-	case "", "tfidf", "keyword", "bayes", "learned", "ensemble":
-	default:
-		return nil, fmt.Errorf("core: unknown suggester %q", method)
-	}
-	return v.suggest(method, o, text, k), nil
+	return v.SuggestTermsDirect(method, ontologyName, textproc.Terms(text), k)
 }
 
-// SuggestTermsDirect is SuggestDirect over pre-analyzed terms. The ingest
+// SuggestTermsDirect is SuggestDirect over analyzed terms. The ingest
 // auto-classifier tokenizes each record's search text once and fans the
-// term list across both ontologies and every engine; re-running the
-// analyzer per (engine, ontology) pair dominated the bulk path.
+// term list across both ontologies.
 func (v *View) SuggestTermsDirect(method, ontologyName string, terms []string, k int) ([]classify.Suggestion, error) {
-	o := v.sys.OntologyByName(ontologyName)
-	if o == nil {
-		return nil, fmt.Errorf("core: unknown ontology %q", ontologyName)
+	o, err := v.ontology(ontologyName)
+	if err != nil {
+		return nil, err
 	}
-	sg := v.sys.sug[o]
-	switch method {
-	case "", "tfidf":
-		return sg.tfidf.SuggestTerms(terms, k), nil
-	case "keyword":
-		return sg.keyword.SuggestTerms(terms, k), nil
-	case "bayes":
-		return v.bayes[o].SuggestTerms(terms, k), nil
-	case "learned":
-		return v.learned[o].SuggestTerms(terms, k), nil
-	case "ensemble":
-		ens := classify.NewEnsemble(v.ensembleMembers(o)...)
-		return ens.SuggestTermsCtx(context.Background(), terms, k)
-	default:
-		return nil, fmt.Errorf("core: unknown suggester %q", method)
+	eng, err := v.suggester(method, o)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// suggest runs the chosen engine. The training-free engines are shared
-// (built once at system construction, read-only); the Bayes models are this
-// view's frozen snapshots, so no locking is needed anywhere.
-func (v *View) suggest(method string, o *ontology.Ontology, text string, k int) []classify.Suggestion {
-	out, _ := v.suggestCtx(context.Background(), method, o, text, k)
-	return out
-}
-
-func (v *View) suggestCtx(ctx context.Context, method string, o *ontology.Ontology, text string, k int) ([]classify.Suggestion, error) {
-	sg := v.sys.sug[o]
-	switch method {
-	case "", "tfidf":
-		return sg.tfidf.Suggest(text, k), nil
-	case "keyword":
-		return sg.keyword.Suggest(text, k), nil
-	case "bayes":
-		return v.bayes[o].Suggest(text, k), nil
-	case "learned":
-		// Nil/untrained models suggest nothing rather than erroring, like
-		// an untrained Bayes: the method exists as soon as the binary does,
-		// the answers arrive after the first train.
-		return v.learned[o].Suggest(text, k), nil
-	default: // ensemble
-		ens := classify.NewEnsemble(v.ensembleMembers(o)...)
-		return ens.SuggestCtx(ctx, text, k)
-	}
+	return suggestTerms(context.Background(), eng, terms, k)
 }
 
 // ensembleMembers assembles the fusion committee for an ontology: the
@@ -343,7 +330,7 @@ func (v *View) Learned(o *ontology.Ontology) *learn.Model { return v.learned[o] 
 // Results are memoized per (selection, generation).
 func (v *View) Recommend(selected []string, k int) []classify.Rule {
 	key := cache.Key(append([]string{"recommend", strconv.Itoa(k)}, selected...)...)
-	res, _ := v.sys.results.Do(key, v.gen, func() (any, error) {
+	res, _ := v.doCached(context.Background(), key, func() (any, error) {
 		return v.cooccur.Recommend(selected, 2, k), nil
 	})
 	return res.([]classify.Rule)
@@ -353,7 +340,7 @@ func (v *View) Recommend(selected []string, k int) []classify.Rule {
 // per generation.
 func (v *View) PDCReplacements(id string, k int) ([]similarity.Edge, error) {
 	key := cache.Key("replacements", id, strconv.Itoa(k))
-	res, err := v.sys.results.Do(key, v.gen, func() (any, error) {
+	res, err := v.doCached(context.Background(), key, func() (any, error) {
 		m := v.eng.Get(id)
 		if m == nil {
 			return nil, fmt.Errorf("core: no material %q", id)
@@ -371,7 +358,19 @@ func (v *View) PDCReplacements(id string, k int) ([]similarity.Edge, error) {
 // them, with row ids numbered afresh (see encodeStore).
 func (v *View) Snapshot(w io.Writer) error { return encodeStore(w, v.eng.All()) }
 
-// Stats summarizes the pinned state for the CLI and the status endpoint.
+// Stats summarizes the system for the CLI and the server's status endpoint.
+type Stats struct {
+	Materials   int
+	Collections []string
+	// Entries counts the distinct classification entries in use, Links
+	// the (material, entry) classifications.
+	Entries   int
+	Links     int
+	CS13Size  int
+	PDC12Size int
+}
+
+// Stats summarizes the pinned state.
 func (v *View) Stats() Stats {
 	st := Stats{
 		Materials: v.Len(),
@@ -406,7 +405,7 @@ func (v *View) Stats() Stats {
 // must not mutate the returned slice.
 func (v *View) SortedMaterials(filterKey string, f search.Filter) []*material.Material {
 	key := cache.Key("sorted-materials", filterKey)
-	res, err := v.doCached(context.Background(), key, func() (any, error) {
+	res, _ := v.doCached(context.Background(), key, func() (any, error) {
 		var mats []*material.Material
 		if f == nil {
 			mats = v.eng.All()
@@ -416,18 +415,6 @@ func (v *View) SortedMaterials(filterKey string, f search.Filter) []*material.Ma
 		sort.Slice(mats, func(i, j int) bool { return mats[i].ID < mats[j].ID })
 		return mats, nil
 	})
-	if err != nil {
-		// compute never fails; doCached only errs on context cancellation,
-		// impossible with Background. Fall back to an uncached sort.
-		var mats []*material.Material
-		if f == nil {
-			mats = v.eng.All()
-		} else {
-			mats = v.eng.Select(f)
-		}
-		sort.Slice(mats, func(i, j int) bool { return mats[i].ID < mats[j].ID })
-		return mats
-	}
 	return res.([]*material.Material)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -81,7 +82,7 @@ func TestReadsCompleteWhileCommitStalled(t *testing.T) {
 	}
 	stall := make(chan struct{})
 	entered := make(chan struct{})
-	s.SetMutationHook(func(string, any) error {
+	s.SetMutationHook(func([]OpPayload) error {
 		close(entered)
 		<-stall
 		return nil
@@ -100,7 +101,7 @@ func TestReadsCompleteWhileCommitStalled(t *testing.T) {
 			if _, err := v.Coverage("cs13", ""); err != nil {
 				return err
 			}
-			if g := v.SimilarityGraph("nifty", "peachy", 2); len(g.Edges) == 0 {
+			if g, err := v.SimilarityGraph(context.Background(), "nifty", "peachy", 2); err != nil || len(g.Edges) == 0 {
 				return fmt.Errorf("empty similarity graph")
 			}
 			if hits, _ := v.SearchText("fractal", 5); len(hits) == 0 {

@@ -241,17 +241,17 @@ func TestTenantCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer abandon(p2)
-	if sys2.Len() != 1 || sys2.Material("def-a") == nil {
+	if sys2.Len() != 1 || sys2.View().Material("def-a") == nil {
 		t.Errorf("default workspace restored %d materials", sys2.Len())
 	}
 	alpha2, ok := p2.Workspaces().Get("alpha")
 	if !ok {
 		t.Fatal("workspace alpha lost across checkpoint restore")
 	}
-	if alpha2.Len() != 2 || alpha2.Material("alpha-b") == nil {
+	if alpha2.Len() != 2 || alpha2.View().Material("alpha-b") == nil {
 		t.Errorf("workspace alpha restored %d materials, want 2", alpha2.Len())
 	}
-	if alpha2.Material("def-a") != nil {
+	if alpha2.View().Material("def-a") != nil {
 		t.Error("default material leaked into alpha on restore")
 	}
 }

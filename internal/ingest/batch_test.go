@@ -24,7 +24,7 @@ func TestImportDeterministicAcrossChunkSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := sys.Snapshot(&buf); err != nil {
+		if err := sys.View().Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), sum

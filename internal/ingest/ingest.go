@@ -419,7 +419,7 @@ func (imp *Importer) commit(ctx context.Context, p prepared, sum *Summary, seen 
 	}
 	// In-file duplicates are caught by seen — which includes buffered, not
 	// yet flushed additions — and pre-existing ones by the live corpus.
-	if seen[p.m.ID] || imp.sys.Material(p.m.ID) != nil {
+	if seen[p.m.ID] || imp.sys.View().Material(p.m.ID) != nil {
 		sum.Skipped++
 		tr.AddSkipped()
 		return batch

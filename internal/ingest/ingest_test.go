@@ -61,7 +61,7 @@ func TestImportPreClassified(t *testing.T) {
 	if sys.Len() != 20 {
 		t.Errorf("corpus = %d", sys.Len())
 	}
-	if m := sys.Material(mats[7].ID); m == nil {
+	if m := sys.View().Material(mats[7].ID); m == nil {
 		t.Errorf("material %s missing", mats[7].ID)
 	}
 }
@@ -87,7 +87,7 @@ func TestImportAutoClassifiesUnclassified(t *testing.T) {
 	if sum.Added != 1 || sum.AutoClassified != 1 {
 		t.Fatalf("summary = %+v (errs %v)", sum, tr.errs)
 	}
-	m := sys.Material("auto-1")
+	m := sys.View().Material("auto-1")
 	if m == nil {
 		t.Fatal("material not added")
 	}
@@ -121,7 +121,7 @@ func TestImportRoutesLowConfidenceToReview(t *testing.T) {
 	if sum.Review != 1 || sum.Added != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if sys.Material("vague-1") != nil {
+	if sys.View().Material("vague-1") != nil {
 		t.Error("low-confidence record must not enter the corpus directly")
 	}
 	pend := sys.Workflow().Pending()
@@ -221,7 +221,7 @@ func TestImportDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("workers=%d summary = %+v", workers, sum)
 		}
 		var buf bytes.Buffer
-		if err := sys.Snapshot(&buf); err != nil {
+		if err := sys.View().Snapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -371,7 +371,7 @@ func TestImportDurableCancelThenRecover(t *testing.T) {
 		t.Errorf("recovered corpus = %d, reported ok = %d", sys2.Len(), sum.Added)
 	}
 	for i := 0; i < sum.Added; i++ {
-		if sys2.Material(mats[i].ID) == nil {
+		if sys2.View().Material(mats[i].ID) == nil {
 			t.Fatalf("recovered corpus missing %s (in-order item %d)", mats[i].ID, i)
 		}
 	}
@@ -396,5 +396,18 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if fmt.Sprint(back.Tags) != fmt.Sprint(m.Tags) {
 		t.Errorf("tags: %v vs %v", back.Tags, m.Tags)
+	}
+}
+
+// Every suggestion method has its own auto-apply threshold, and the table
+// names no method the core does not offer.
+func TestDefaultThresholdsOnePerMethod(t *testing.T) {
+	if len(DefaultThresholds) != len(core.SuggestMethods) {
+		t.Errorf("DefaultThresholds has %d entries, core.SuggestMethods %d", len(DefaultThresholds), len(core.SuggestMethods))
+	}
+	for _, m := range core.SuggestMethods {
+		if _, ok := DefaultThresholds[m]; !ok {
+			t.Errorf("no default threshold for method %q", m)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func TestSuggestQuality(t *testing.T) {
 		t.Fatalf("in-sample hit@3 = %.2f, want >= 0.7", frac)
 	}
 
-	sugg := m.Suggest("students parallelize a loop with OpenMP pragmas and measure speedup", 5)
+	sugg := m.SuggestTerms(textproc.Terms("students parallelize a loop with OpenMP pragmas and measure speedup"), 5)
 	if len(sugg) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -90,7 +90,7 @@ func TestSuggestQuality(t *testing.T) {
 			t.Error("suggestions not sorted by score")
 		}
 	}
-	if m.Suggest("", 5) != nil {
+	if m.SuggestTerms(textproc.Terms(""), 5) != nil {
 		t.Error("empty text should yield nil")
 	}
 }

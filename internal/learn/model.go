@@ -6,7 +6,6 @@ import (
 
 	"carcs/internal/classify"
 	"carcs/internal/ontology"
-	"carcs/internal/textproc"
 )
 
 // Model is a trained one-vs-rest logistic regression classifier over one
@@ -92,15 +91,9 @@ func (m *Model) scoreAll(feats []Feature) []float64 {
 	return out
 }
 
-// Suggest implements classify.Suggester: the top-k entries by calibrated
-// probability. Scores are calibrated posteriors in (0, 1), comparable
-// across queries and against the ingest auto-apply threshold.
-func (m *Model) Suggest(text string, k int) []classify.Suggestion {
-	return m.SuggestTerms(textproc.Terms(text), k)
-}
-
-// SuggestTerms is Suggest for already-analyzed terms, so bulk pipelines
-// tokenize once and share the list across engines.
+// SuggestTerms implements classify.Suggester: the top-k entries by
+// calibrated probability. Scores are calibrated posteriors in (0, 1),
+// comparable across queries and against the ingest auto-apply threshold.
 func (m *Model) SuggestTerms(terms []string, k int) []classify.Suggestion {
 	if !m.Trained() || len(terms) == 0 {
 		return nil

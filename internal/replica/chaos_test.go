@@ -152,12 +152,12 @@ func TestChaosReplicaKillDrill(t *testing.T) {
 
 	// Byte-identical state: leader vs both followers.
 	var leaderSnap bytes.Buffer
-	if err := l.sys.Snapshot(&leaderSnap); err != nil {
+	if err := l.sys.View().Snapshot(&leaderSnap); err != nil {
 		t.Fatal(err)
 	}
 	for i, fn := range []*followerNode{f1, f2} {
 		var snap bytes.Buffer
-		if err := fn.f.System().Snapshot(&snap); err != nil {
+		if err := fn.f.System().View().Snapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(leaderSnap.Bytes(), snap.Bytes()) {

@@ -388,7 +388,7 @@ func TestChaosLeaderKillFailover(t *testing.T) {
 	f2.waitApplied(t, l.p.Seq())
 	handoverSeq := l.p.Seq()
 	var preKill bytes.Buffer
-	if err := l.sys.Snapshot(&preKill); err != nil {
+	if err := l.sys.View().Snapshot(&preKill); err != nil {
 		t.Fatal(err)
 	}
 
@@ -415,7 +415,7 @@ func TestChaosLeaderKillFailover(t *testing.T) {
 	// Byte-identical at equal seq: the new leader's state at the handover
 	// sequence is exactly what the old leader acknowledged.
 	var adopted bytes.Buffer
-	if err := f1.f.System().Snapshot(&adopted); err != nil {
+	if err := f1.f.System().View().Snapshot(&adopted); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(preKill.Bytes(), adopted.Bytes()) {
@@ -515,7 +515,7 @@ func TestChaosLeaderKillFailover(t *testing.T) {
 		t.Fatalf("bystander follower at seq %d, want %d", got, handoverSeq)
 	}
 	var bystander bytes.Buffer
-	if err := f2.f.System().Snapshot(&bystander); err != nil {
+	if err := f2.f.System().View().Snapshot(&bystander); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(preKill.Bytes(), bystander.Bytes()) {

@@ -347,10 +347,10 @@ func TestFollowerResumesAcrossLeaderCheckpoint(t *testing.T) {
 	fn.waitApplied(t, l.p.Seq())
 
 	var leaderSnap, followerSnap bytes.Buffer
-	if err := l.sys.Snapshot(&leaderSnap); err != nil {
+	if err := l.sys.View().Snapshot(&leaderSnap); err != nil {
 		t.Fatal(err)
 	}
-	if err := fn.f.System().Snapshot(&followerSnap); err != nil {
+	if err := fn.f.System().View().Snapshot(&followerSnap); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(leaderSnap.Bytes(), followerSnap.Bytes()) {
@@ -409,7 +409,7 @@ func TestRouterRoutesReadsAndWrites(t *testing.T) {
 		t.Fatalf("write routed to %q, want leader %q", got, l.ts.URL)
 	}
 	fn.waitApplied(t, l.p.Seq())
-	if m := fn.f.System().Material("viarouter"); m == nil {
+	if m := fn.f.System().View().Material("viarouter"); m == nil {
 		t.Fatal("routed write did not replicate to the follower")
 	}
 }
@@ -562,7 +562,7 @@ func TestFollowerBootstrapKeepsBloomLevels(t *testing.T) {
 	l := startLeaderWith(t, core.DurableOptions{Seed: true})
 	fn := startFollower(t, l.ts.URL)
 	arrays := "acm-ieee-cs-curricula-2013/sdf/fundamental-data-structures/arrays"
-	if err := l.sys.Reclassify(l.sys.Materials("nifty")[0].ID, []material.Classification{
+	if err := l.sys.Reclassify(l.sys.View().Materials("nifty")[0].ID, []material.Classification{
 		{NodeID: arrays, Bloom: ontology.BloomApply},
 	}); err != nil {
 		t.Fatal(err)

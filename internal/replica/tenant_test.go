@@ -131,7 +131,7 @@ func TestTenantOpsReplicate(t *testing.T) {
 		t.Errorf("follower default = %v, want %v", got, wantDef)
 	}
 	for _, id := range wantDef {
-		if fAlpha.Material(id) != nil {
+		if fAlpha.View().Material(id) != nil {
 			t.Errorf("default material %q leaked into follower alpha", id)
 		}
 	}
@@ -171,7 +171,7 @@ func TestTenantOpsReplicate(t *testing.T) {
 	if !ok {
 		t.Fatal("follower missed live tenant.create")
 	}
-	if fBeta.Material("beta-1") == nil {
+	if fBeta.View().Material("beta-1") == nil {
 		t.Error("follower missed write to live-created workspace")
 	}
 }

@@ -291,7 +291,7 @@ func (s *Server) handleReclassify(w http.ResponseWriter, r *http.Request) {
 		s.writeMutationError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJSON(s.tenantSys(r).Material(r.PathValue("id"))))
+	writeJSON(w, http.StatusOK, toJSON(s.tenantSys(r).View().Material(r.PathValue("id"))))
 }
 
 // GET /api/materials/{id}/replacements?k=
@@ -411,7 +411,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 // GET /api/gaps?ontology=&collection=&core_only=
 func (s *Server) handleGaps(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	gaps, err := s.view(r).GapReportCtx(r.Context(), q.Get("ontology"), q.Get("collection"), q.Get("core_only") == "true")
+	gaps, err := s.view(r).GapReport(r.Context(), q.Get("ontology"), q.Get("collection"), q.Get("core_only") == "true")
 	if err != nil {
 		writeReadError(w, err)
 		return
@@ -432,7 +432,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	g, err := s.view(r).SimilarityGraphCtx(r.Context(), left, right, threshold)
+	g, err := s.view(r).SimilarityGraph(r.Context(), left, right, threshold)
 	if err != nil {
 		writeReadError(w, err)
 		return
@@ -519,7 +519,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sugg, err := s.view(r).SuggestCtx(r.Context(), q.Get("method"), q.Get("ontology"), q.Get("q"), k)
+	sugg, err := s.view(r).Suggest(r.Context(), q.Get("method"), q.Get("ontology"), q.Get("q"), k)
 	if err != nil {
 		writeReadError(w, err)
 		return
@@ -703,7 +703,7 @@ func (s *Server) handleSuggestEdit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing material or field")
 		return
 	}
-	if s.tenantSys(r).Material(body.Material) == nil {
+	if s.tenantSys(r).View().Material(body.Material) == nil {
 		writeError(w, http.StatusNotFound, "no such material")
 		return
 	}

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
+	"carcs/internal/core"
 	"carcs/internal/ingest"
 	"carcs/internal/jobs"
 )
@@ -41,13 +43,9 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.Threshold = f
 	}
-	if opt.Method != "" {
-		switch opt.Method {
-		case "tfidf", "keyword", "bayes", "ensemble", "none":
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q", opt.Method))
-			return
-		}
+	if m := opt.Method; m != "" && m != "none" && !slices.Contains(core.SuggestMethods, m) {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q", m))
+		return
 	}
 
 	// The job outlives the request, so the streamed body must be captured

@@ -116,6 +116,19 @@ func TestImportRejectsEmptyAndBadParams(t *testing.T) {
 	}
 }
 
+// Every suggestion method the importer accepts is accepted over HTTP too.
+func TestImportAcceptsLearnedMethod(t *testing.T) {
+	s, _ := newTestServer(t)
+	rec := doRaw(t, s, "POST", "/api/import?method=learned", "ed", syntheticJSONL(t, 1, 23))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("method=learned = %d %s", rec.Code, rec.Body)
+	}
+	id := int64(decode[map[string]any](t, rec)["job"].(float64))
+	if snap := waitJob(t, s, id); snap.State != jobs.StateDone {
+		t.Errorf("state = %s (%s)", snap.State, snap.Error)
+	}
+}
+
 func TestImportReportsPerItemErrors(t *testing.T) {
 	s, sys := newTestServer(t)
 	good := syntheticJSONL(t, 2, 22)
@@ -281,7 +294,7 @@ func TestImportScale10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := refSys.Snapshot(&want); err != nil {
+	if err := refSys.View().Snapshot(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -337,7 +350,7 @@ func TestImportScale10k(t *testing.T) {
 		t.Fatalf("progress = %+v", snap.Progress)
 	}
 	var got bytes.Buffer
-	if err := sys.Snapshot(&got); err != nil {
+	if err := sys.View().Snapshot(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -118,7 +118,7 @@ func TestReviewFeedsLearnedModel(t *testing.T) {
 	if got := versionOf(); got != before+1 {
 		t.Fatalf("approve did not update model: version %d -> %d", before, got)
 	}
-	if sys.Material("feed-a") == nil {
+	if sys.View().Material("feed-a") == nil {
 		t.Fatal("approved material not installed")
 	}
 

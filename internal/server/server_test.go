@@ -312,7 +312,7 @@ func TestEntryClassifyFlow(t *testing.T) {
 	}
 
 	// The material is installed and searchable.
-	if sys.Material("parallel-life") == nil {
+	if sys.View().Material("parallel-life") == nil {
 		t.Fatal("approved material not installed")
 	}
 	rec = do(t, s, "GET", "/api/search?q=game+of+life+openmp", "", nil)

@@ -194,9 +194,13 @@ func (s *Server) handleSimilarityPage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.view(r)
+	g, err := v.SimilarityGraph(r.Context(), left, right, threshold)
+	if err != nil {
+		writeReadError(w, err)
+		return
+	}
 	key := cache.Key("svg", "similarity", left, right, strconv.Itoa(threshold))
 	res, _ := s.tenantSys(r).ResultCache().Do(key, v.Gen(), func() (any, error) {
-		g := v.SimilarityGraph(left, right, threshold)
 		return viz.SimilaritySVG(g, 900, 700), nil
 	})
 	s.renderPage(w, "Similarity — "+left+" vs "+right, template.HTML(res.(string))) //nolint:gosec // SVG built from escaped labels

@@ -204,7 +204,7 @@ func TestCorpusSimilar(t *testing.T) {
 	c.Add("heat", "stencil computation for heat diffusion with MPI message passing")
 	c.Add("game", "a console game of tic tac toe with menus")
 	c.Finalize()
-	got := c.Similar(c.Query("parallel sorting with OpenMP threads"), 2)
+	got := c.Similar(c.QueryTerms(Terms("parallel sorting with OpenMP threads")), 2)
 	if len(got) == 0 || got[0].ID != "sort" {
 		t.Fatalf("Similar = %v", got)
 	}
@@ -232,7 +232,7 @@ func TestSimilarScoresRepeatExactly(t *testing.T) {
 		c.Add(fmt.Sprint(i), strings.Join(words[:i+1], " "))
 	}
 	c.Finalize()
-	q := c.Query(strings.Join(words, " ") + " " + strings.Join(words[:9], " "))
+	q := c.QueryTerms(Terms(strings.Join(words, " ") + " " + strings.Join(words[:9], " ")))
 	want := c.Similar(q, 0)
 	for i := 0; i < 200; i++ {
 		if got := c.Similar(q, 0); !reflect.DeepEqual(got, want) {
@@ -261,7 +261,7 @@ func TestCorpusPanics(t *testing.T) {
 	c := NewCorpus()
 	c.Add("d", "x")
 	mustPanic(t, func() { c.Vector("d") })
-	mustPanic(t, func() { c.Query("x") })
+	mustPanic(t, func() { c.QueryTerms(Terms("x")) })
 	c.Finalize()
 	c.Finalize() // idempotent
 	mustPanic(t, func() { c.Add("e", "y") })

@@ -170,14 +170,8 @@ func (c *Corpus) Vector(id string) Vector {
 	return c.vecs[id]
 }
 
-// Query vectorizes ad-hoc text against the corpus IDF table.
-func (c *Corpus) Query(text string) Vector {
-	c.mustFinal()
-	return c.vectorize(Terms(text))
-}
-
-// QueryTerms vectorizes already-analyzed terms against the corpus IDF
-// table, so bulk pipelines that tokenize a document once can query several
+// QueryTerms vectorizes analyzed terms (Terms output) against the corpus
+// IDF table, so a caller that tokenizes a document once can query several
 // corpora without re-analyzing.
 func (c *Corpus) QueryTerms(terms []string) Vector {
 	c.mustFinal()

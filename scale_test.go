@@ -175,7 +175,7 @@ func TestScaleHarness(t *testing.T) {
 		if got := sl.sys.Len(); got != sl.n && method == "none" {
 			t.Errorf("workspace %s has %d materials, want %d", sl.name, got, sl.n)
 		}
-		if m := sl.sys.Material(slots[0].name + "-000000"); sl.name != slots[0].name && m != nil {
+		if m := sl.sys.View().Material(slots[0].name + "-000000"); sl.name != slots[0].name && m != nil {
 			t.Errorf("workspace %s can see %s's material", sl.name, slots[0].name)
 		}
 	}

@@ -45,6 +45,11 @@ make bench-ingest
 echo "== multi-tenant scale smoke (10k) =="
 make bench-scale
 
+echo "== examples smoke =="
+for ex in examples/*/; do
+    go run "./$ex" > /dev/null
+done
+
 echo "== learned-model eval gate =="
 go run ./cmd/carcs eval -gate > /dev/null
 
